@@ -21,6 +21,21 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
+(* Write [render ()] to [file], if one was asked for. Failure is
+   reported on stderr (false) instead of raising; [announce] prints
+   "wrote PATH" on success. *)
+let dump ?(announce = false) file render =
+  match file with
+  | None -> true
+  | Some path -> (
+    match write_file path (render ()) with
+    | () ->
+      if announce then Printf.printf "wrote %s\n" path;
+      true
+    | exception Sys_error msg ->
+      Printf.eprintf "netrepro: cannot write %s\n" msg;
+      false)
+
 type telemetry = {
   metrics_file : string option;
   trace_file : string option;
@@ -54,61 +69,46 @@ let with_telemetry t f =
     Dsim.Sampler.clear Dsim.Sampler.default
   end;
   let result = f () in
-  let dump path render =
-    match write_file path (render ()) with
-    | () -> true
-    | exception Sys_error msg ->
-      Printf.eprintf "netrepro: cannot write %s\n" msg;
-      false
-  in
   let ok_metrics =
-    match t.metrics_file with
-    | None -> true
-    | Some path ->
-      (* Fold the always-on per-label RNG draw counters into the
-         exposition before rendering it. *)
-      Dsim.Profile.publish_rng_draws Dsim.Profile.default Dsim.Metrics.default;
-      dump path (fun () -> Dsim.Metrics.to_prometheus Dsim.Metrics.default)
+    dump t.metrics_file (fun () ->
+        (* Fold the always-on per-label RNG draw counters into the
+           exposition before rendering it. *)
+        Dsim.Profile.publish_rng_draws Dsim.Profile.default Dsim.Metrics.default;
+        Dsim.Metrics.to_prometheus Dsim.Metrics.default)
   in
   let ok_trace =
-    match t.trace_file with
-    | None -> true
-    | Some path ->
-      dump path (fun () -> Dsim.Span.to_chrome_json Dsim.Span.default)
+    dump t.trace_file (fun () -> Dsim.Span.to_chrome_json Dsim.Span.default)
   in
   let ok_flow =
-    match t.flow_trace_file with
-    | None -> true
-    | Some path ->
-      dump path (fun () ->
-          Dsim.Json.to_string (Dsim.Flowtrace.to_json Dsim.Flowtrace.default))
+    dump t.flow_trace_file (fun () ->
+        Dsim.Json.to_string (Dsim.Flowtrace.to_json Dsim.Flowtrace.default))
   in
   let ok_timeseries =
-    match t.timeseries_file with
-    | None -> true
-    | Some path ->
-      let ok =
-        dump path (fun () ->
-            Dsim.Json.to_string (Dsim.Sampler.to_json Dsim.Sampler.default))
-      in
-      if Dsim.Sampler.truncated Dsim.Sampler.default then
-        Printf.eprintf
-          "netrepro: WARNING: time series truncated — %d snapshot(s) dropped \
-           past row capacity; %s holds a prefix of the run\n"
-          (Dsim.Sampler.dropped Dsim.Sampler.default)
-          path;
-      ok
+    dump t.timeseries_file (fun () ->
+        Dsim.Json.to_string (Dsim.Sampler.to_json Dsim.Sampler.default))
   in
+  (match t.timeseries_file with
+  | Some path when Dsim.Sampler.truncated Dsim.Sampler.default ->
+    Printf.eprintf
+      "netrepro: WARNING: time series truncated — %d snapshot(s) dropped \
+       past row capacity; %s holds a prefix of the run\n"
+      (Dsim.Sampler.dropped Dsim.Sampler.default)
+      path
+  | _ -> ());
   if ok_metrics && ok_trace && ok_flow && ok_timeseries then result else 1
 
-(* Arm journal recording to [path], failing cleanly (like the telemetry
-   dumps) when the path is unwritable instead of escaping as a raw
-   [Sys_error]. *)
-let arm_journal ~header path =
-  try Dsim.Journal.record_to ~header (Dsim.Journal.To_file path)
-  with Sys_error msg ->
-    Printf.eprintf "netrepro: cannot write %s\n" msg;
-    exit 1
+(* Run [f] recording its dispatch journal to [journal], if given. An
+   unwritable path fails cleanly (like the telemetry dumps) instead of
+   escaping as a raw [Sys_error]. *)
+let with_journal journal ~header f =
+  (match journal with
+  | None -> ()
+  | Some path -> (
+    try Dsim.Journal.record_to ~header (Dsim.Journal.To_file path)
+    with Sys_error msg ->
+      Printf.eprintf "netrepro: cannot write %s\n" msg;
+      exit 1));
+  Fun.protect ~finally:Dsim.Journal.stop f
 
 (* The journal is a single process-global dispatch stream ordered by
    the engine's sequence numbers; the domains executor dispatches on
@@ -161,29 +161,24 @@ let run_experiment ids quick iterations telemetry journal =
           (String.concat ", " (Core.Experiment.ids ()));
         exit 2)
   in
+  let header =
+    [
+      ("kind", Dsim.Json.String "run");
+      ( "experiments",
+        Dsim.Json.List
+          (List.map
+             (fun (s : Core.Experiment.spec) ->
+               Dsim.Json.String s.Core.Experiment.id)
+             targets) );
+      ("quick", Dsim.Json.Bool quick);
+      ( "iterations",
+        match iterations with
+        | Some n -> Dsim.Json.Int n
+        | None -> Dsim.Json.Null );
+    ]
+  in
   with_telemetry telemetry (fun () ->
-      (match journal with
-      | None -> ()
-      | Some path ->
-        arm_journal path
-          ~header:
-            [
-              ("kind", Dsim.Json.String "run");
-              ( "experiments",
-                Dsim.Json.List
-                  (List.map
-                     (fun (s : Core.Experiment.spec) ->
-                       Dsim.Json.String s.Core.Experiment.id)
-                     targets) );
-              ("quick", Dsim.Json.Bool quick);
-              ( "iterations",
-                match iterations with
-                | Some n -> Dsim.Json.Int n
-                | None -> Dsim.Json.Null );
-            ]);
-      Fun.protect
-        ~finally:(fun () -> Dsim.Journal.stop ())
-        (fun () ->
+      with_journal journal ~header (fun () ->
           List.iter
             (fun (s : Core.Experiment.spec) ->
               let out = s.Core.Experiment.report profile in
@@ -252,22 +247,15 @@ let run_profile exp_id quick runs out_prefix =
       | Some p -> p
       | None -> "PROFILE_" ^ exp_id
     in
-    let dump path contents =
-      match write_file path contents with
-      | () ->
-        Printf.printf "wrote %s\n" path;
-        true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false
-    in
     let ok_folded =
-      dump (prefix ^ ".folded") r.Core.Profile_experiment.folded
+      dump ~announce:true
+        (Some (prefix ^ ".folded"))
+        (fun () -> r.Core.Profile_experiment.folded)
     in
     let ok_json =
-      dump
-        (prefix ^ ".profile.json")
-        (Dsim.Json.to_string r.Core.Profile_experiment.json)
+      dump ~announce:true
+        (Some (prefix ^ ".profile.json"))
+        (fun () -> Dsim.Json.to_string r.Core.Profile_experiment.json)
     in
     if ok_folded && ok_json then 0 else 1
 
@@ -312,50 +300,33 @@ let ensure_blackbox_dir dir k =
       Printf.eprintf "netrepro: cannot use blackbox dir: %s\n" msg;
       1)
 
+(* Print a gated report, write its JSON to [json_file] when one was
+   asked for, and turn the verdict into the exit code. *)
+let emit_report ~text ~json ~pass json_file =
+  print_string text;
+  let ok_json =
+    dump ~announce:true json_file (fun () -> Dsim.Json.to_string json)
+  in
+  flush stdout;
+  if pass && ok_json then 0 else 1
+
 let run_attack_net seed quick json_file blackbox_dir =
   ensure_blackbox_dir blackbox_dir @@ fun () ->
   let profile =
     if quick then Core.Attack_traffic.quick else Core.Attack_traffic.full
   in
-  let report = Core.Attack_traffic.run ~profile ?blackbox_dir ~seed () in
-  print_string report.Core.Attack_traffic.text;
-  flush stdout;
-  let ok_json =
-    match json_file with
-    | None -> true
-    | Some path -> (
-      match
-        write_file path (Dsim.Json.to_string report.Core.Attack_traffic.json)
-      with
-      | () ->
-        Printf.printf "wrote %s\n" path;
-        true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false)
-  in
-  if report.Core.Attack_traffic.pass && ok_json then 0 else 1
+  let r = Core.Attack_traffic.run ~profile ?blackbox_dir ~seed () in
+  emit_report ~text:r.Core.Attack_traffic.text ~json:r.Core.Attack_traffic.json
+    ~pass:r.Core.Attack_traffic.pass json_file
 
 let run_audit seed quick json_file =
   let profile =
     if quick then Core.Audit_experiment.quick else Core.Audit_experiment.full
   in
-  let report = Core.Audit_experiment.run ~profile ~seed () in
-  print_string report.Core.Audit_experiment.text;
-  flush stdout;
-  let ok_json =
-    match json_file with
-    | None -> true
-    | Some path -> (
-      match
-        write_file path (Dsim.Json.to_string report.Core.Audit_experiment.json)
-      with
-      | () -> true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false)
-  in
-  if report.Core.Audit_experiment.pass && ok_json then 0 else 1
+  let r = Core.Audit_experiment.run ~profile ~seed () in
+  emit_report ~text:r.Core.Audit_experiment.text
+    ~json:r.Core.Audit_experiment.json ~pass:r.Core.Audit_experiment.pass
+    json_file
 
 let run_chaos seed quick journal blackbox_dir =
   ensure_blackbox_dir blackbox_dir @@ fun () ->
@@ -363,56 +334,34 @@ let run_chaos seed quick journal blackbox_dir =
   let profile =
     if quick then Core.Chaos_experiment.quick else Core.Chaos_experiment.full
   in
-  (match journal with
-  | None -> ()
-  | Some path ->
-    arm_journal path
-      ~header:
-        [
-          ("kind", Dsim.Json.String "chaos");
-          ("seed", Dsim.Json.Int (Int64.to_int seed));
-          ("quick", Dsim.Json.Bool quick);
-        ]);
-  let report =
-    Fun.protect
-      ~finally:(fun () -> Dsim.Journal.stop ())
-      (fun () -> Core.Chaos_experiment.run ~profile ?blackbox_dir ~seed ())
+  let header =
+    [
+      ("kind", Dsim.Json.String "chaos");
+      ("seed", Dsim.Json.Int (Int64.to_int seed));
+      ("quick", Dsim.Json.Bool quick);
+    ]
   in
-  print_string report.Core.Chaos_experiment.text;
-  (match journal with
-  | Some path -> Printf.printf "wrote %s\n" path
-  | None -> ());
-  flush stdout;
-  if report.Core.Chaos_experiment.pass then 0 else 1
+  let r =
+    with_journal journal ~header (fun () ->
+        Core.Chaos_experiment.run ~profile ?blackbox_dir ~seed ())
+  in
+  let wrote =
+    match journal with Some path -> "wrote " ^ path ^ "\n" | None -> ""
+  in
+  emit_report ~text:(r.Core.Chaos_experiment.text ^ wrote) ~json:Dsim.Json.Null
+    ~pass:r.Core.Chaos_experiment.pass None
 
 let run_fleet tenants seed quick scaling json_file =
-  let emit_json json =
-    match json_file with
-    | None -> true
-    | Some path -> (
-      match write_file path (Dsim.Json.to_string json) with
-      | () ->
-        Printf.printf "wrote %s\n" path;
-        true
-      | exception Sys_error msg ->
-        Printf.eprintf "netrepro: cannot write %s\n" msg;
-        false)
+  let text, json, pass =
+    if scaling then
+      let text, json = Core.Fleet.run_scaling ~seed () in
+      (text, json, true)
+    else
+      let profile = if quick then Core.Fleet.quick else Core.Fleet.full in
+      let r = Core.Fleet.run ~profile ?tenants ~seed () in
+      Core.Fleet.(r.r_text, r.r_json, r.r_pass)
   in
-  if scaling then begin
-    let text, json = Core.Fleet.run_scaling ~seed () in
-    print_string text;
-    let ok_json = emit_json json in
-    flush stdout;
-    if ok_json then 0 else 1
-  end
-  else begin
-    let profile = if quick then Core.Fleet.quick else Core.Fleet.full in
-    let r = Core.Fleet.run ~profile ?tenants ~seed () in
-    print_string r.Core.Fleet.r_text;
-    let ok_json = emit_json r.Core.Fleet.r_json in
-    flush stdout;
-    if r.Core.Fleet.r_pass && ok_json then 0 else 1
-  end
+  emit_report ~text ~json ~pass json_file
 
 let run_replay file context =
   match Core.Replay.run ~context file with
@@ -588,15 +537,47 @@ let ids_arg =
     & info [] ~docv:"EXPERIMENT"
         ~doc:"Experiment ids (e.g. table2 fig4). Default: all.")
 
-let run_cmd =
-  Cmd.v (cmd_info "run")
-    Term.(
-      const (fun () -> run_experiment)
-      $ sharding_term $ ids_arg $ quick_flag $ iters_opt $ telemetry_term
-      $ journal_opt)
+(* [ids] picks the experiments: positional ([run]) or fixed (the
+   per-experiment commands). *)
+let experiment_term ids =
+  Term.(
+    const (fun () -> run_experiment)
+    $ sharding_term $ ids $ quick_flag $ iters_opt $ telemetry_term
+    $ journal_opt)
+
+let run_cmd = Cmd.v (cmd_info "run") (experiment_term ids_arg)
 
 let list_cmd =
   Cmd.v (cmd_info "list") Term.(const list_experiments $ const ())
+
+(* Options shared by the seeded, gated subcommands (attack net, audit,
+   chaos, fleet). *)
+let seed_opt =
+  Arg.(
+    value & opt int64 42L
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:
+          "Seed of every random stream in the run. Two runs with the same \
+           seed and profile produce byte-identical reports.")
+
+let json_opt =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Write the machine-readable report to $(docv).")
+
+let blackbox_opt =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "blackbox-dir" ] ~docv:"DIR"
+        ~doc:
+          "Write each supervised containment's crash black box — the \
+           last-N dispatch ring plus the supervisor verdict and the \
+           fault's flow-trace/provenance cross-references — to \
+           $(docv)/<cvm>.blackbox.json, and link the report's contained \
+           verdicts to their dump files.")
 
 let attack_mem_cmd =
   Cmd.v
@@ -611,34 +592,6 @@ let attack_mem_cmd =
               matrix.";
          ])
     Term.(const run_attacks $ const ())
-
-let attack_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Red-team corpus seed. Two runs with the same seed and profile \
-           produce byte-identical reports.")
-
-let attack_json_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine-readable attack report (full ledger with \
-           per-attack verdicts, provenance and blackbox cross-references, \
-           per-phase blast-radius ratios) to $(docv).")
-
-let attack_blackbox_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "blackbox-dir" ] ~docv:"DIR"
-        ~doc:
-          "Write each supervised containment's crash black box to \
-           $(docv)/<cvm>.blackbox.json and link the corresponding attack \
-           verdicts to their dump files in the report.")
 
 let attack_net_cmd =
   Cmd.v
@@ -660,8 +613,7 @@ let attack_net_cmd =
          ])
     Term.(
       const (fun () -> run_attack_net)
-      $ sharding_term $ attack_seed_opt $ quick_flag $ attack_json_opt
-      $ attack_blackbox_opt)
+      $ sharding_term $ seed_opt $ quick_flag $ json_opt $ blackbox_opt)
 
 let attack_cmd =
   Cmd.group
@@ -674,25 +626,6 @@ let attack_cmd =
          ])
     [ attack_mem_cmd; attack_net_cmd ]
 
-let chaos_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Chaos RNG seed. Two runs with the same seed and profile produce \
-           byte-identical reports.")
-
-let chaos_blackbox_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "blackbox-dir" ] ~docv:"DIR"
-        ~doc:
-          "Write each supervised containment's crash black box — the \
-           last-N dispatch ring plus the supervisor verdict and the \
-           fault's flow-trace/provenance cross-references — to \
-           $(docv)/<cvm>.blackbox.json.")
-
 let chaos_cmd =
   Cmd.v
     (cmd_info "chaos"
@@ -704,27 +637,7 @@ let chaos_cmd =
          ])
     Term.(
       const (fun () -> run_chaos)
-      $ sharding_term $ chaos_seed_opt $ quick_flag $ journal_opt
-      $ chaos_blackbox_opt)
-
-let audit_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Audit topology/chaos seed. The audit paths use no RNG and no \
-           clock reads, so the report is a pure function of seed and \
-           profile.")
-
-let audit_json_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine-readable audit report (provenance DAG \
-           summary, per-compartment surfaces, violations, chaos \
-           cross-reference) to $(docv).")
+      $ sharding_term $ seed_opt $ quick_flag $ journal_opt $ blackbox_opt)
 
 let audit_cmd =
   Cmd.v
@@ -739,7 +652,7 @@ let audit_cmd =
          ])
     Term.(
       const (fun () -> run_audit)
-      $ sharding_term $ audit_seed_opt $ quick_flag $ audit_json_opt)
+      $ sharding_term $ seed_opt $ quick_flag $ json_opt)
 
 let fleet_tenants_opt =
   Arg.(
@@ -750,15 +663,6 @@ let fleet_tenants_opt =
           "Number of tenant cVMs sharing the stack compartment (default: \
            the profile's — 64 with $(b,--quick), 256 otherwise).")
 
-let fleet_seed_opt =
-  Arg.(
-    value & opt int64 42L
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:
-          "Workload seed. Arrivals and flow sizes are drawn from split \
-           deterministic streams, so the report is a pure function of \
-           (profile, tenants, seed).")
-
 let fleet_scaling_flag =
   Arg.(
     value & flag
@@ -766,15 +670,6 @@ let fleet_scaling_flag =
         ~doc:
           "Instead of one run, print the scaling table: quick-profile runs \
            at 8, 64 and 256 tenants.")
-
-let fleet_json_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine-readable report (fleet totals, full per-tenant \
-           rollups, drop table, SLO gates) to $(docv).")
 
 let fleet_cmd =
   Cmd.v
@@ -797,8 +692,8 @@ let fleet_cmd =
          ])
     Term.(
       const (fun () -> run_fleet)
-      $ sharding_term $ fleet_tenants_opt $ fleet_seed_opt $ quick_flag
-      $ fleet_scaling_flag $ fleet_json_opt)
+      $ sharding_term $ fleet_tenants_opt $ seed_opt $ quick_flag
+      $ fleet_scaling_flag $ json_opt)
 
 let analyze_file_arg =
   Arg.(
@@ -958,13 +853,7 @@ let experiment_cmds =
       in
       Cmd.v
         (Cmd.info s.Core.Experiment.id ~doc)
-        Term.(
-          const (fun () quick iterations telemetry journal ->
-              run_experiment
-                [ s.Core.Experiment.id ]
-                quick iterations telemetry journal)
-          $ sharding_term $ quick_flag $ iters_opt $ telemetry_term
-          $ journal_opt))
+        (experiment_term (Term.const [ s.Core.Experiment.id ])))
     Core.Experiment.all
 
 let default = Term.(ret (const (`Help (`Pager, None))))

@@ -24,7 +24,7 @@
    Flowtrace (stage, reason) drop, a typed backpressure symptom or a
    supervisor-contained [Cheri.Fault.Capability_fault]; in the
    MMU-only baseline the memory attacks are *expected* to leak, and the
-   ledger records the silent corruption. The PR 4 blast-radius gate
+   ledger records the silent corruption. The [Blast] sibling gate
    extends to attacked runs: sibling goodput outside quarantine must
    stay >= 0.9x the undisturbed twin in every phase. *)
 
@@ -34,11 +34,8 @@ module Time = Dsim.Time
 module Engine = Dsim.Engine
 module Sup = Capvm.Supervisor
 
-let k_redteam stage =
-  Dsim.Profile.(key default) ~component:"redteam" ~cvm:"-" ~stage
-
-let k_arm = k_redteam "warmup_arm"
-let k_tick = k_redteam "sample_tick"
+let component = "redteam"
+let k_redteam stage = Dsim.Profile.(key default) ~component ~cvm:"-" ~stage
 let k_inject = k_redteam "inject"
 let k_check = k_redteam "verdict_check"
 
@@ -66,15 +63,8 @@ let full =
   }
 
 type phase = {
-  ap_title : string;
-  ap_victim : string;
-  ap_sibling : string;
+  blast : Blast.phase;
   ap_ids : int list;  (** Ledger ids launched during this phase. *)
-  ap_drops : ((Ft.stage * Ft.reason) * int) list;
-  ap_sibling_rate : float;
-  ap_sibling_ref : float;
-  ap_victim_rate : float;
-  ap_victim_ref : float;
   ap_mutex_free : bool;  (** Shared mutex not left held by the victim. *)
   ap_pool_recovered : bool;  (** Mbufs available again after the spray. *)
   ap_rst_sent : int;  (** RSTs the stack answered probes with. *)
@@ -95,70 +85,8 @@ type report = {
   json : Dsim.Json.t;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Goodput sampling (same machinery as the chaos harness)              *)
-(* ------------------------------------------------------------------ *)
-
-let overlaps (a, b) windows =
-  List.exists
-    (fun (ws, we) ->
-      let ws = Time.to_float_ns ws in
-      match we with
-      | Some we -> a < Time.to_float_ns we && b > ws
-      | None -> b > ws)
-    windows
-
-let rate_outside samples windows =
-  let bytes, ns =
-    List.fold_left
-      (fun (bytes, ns) (a, b, d) ->
-        if overlaps (a, b) windows then (bytes, ns)
-        else (bytes + d, ns +. (b -. a)))
-      (0, 0.) samples
-  in
-  if ns <= 0. then 0. else float_of_int (bytes * 8) /. ns
-
-let drive built profile ~after_warmup =
-  let engine = built.Scenarios.engine in
-  let samples =
-    List.map (fun f -> (f.Scenarios.label, ref [])) built.Scenarios.flows
-  in
-  let t0 = profile.warmup in
-  let t_end = Time.add t0 profile.duration in
-  ignore
-    (Engine.schedule_at_l engine ~at:t0 ~label:k_arm (fun () ->
-         List.iter
-           (fun f -> ignore (f.Scenarios.take_bytes ()))
-           built.Scenarios.flows;
-         after_warmup ()));
-  let rec tick prev () =
-    let now = Engine.now engine in
-    let now_ns = Time.to_float_ns now and prev_ns = Time.to_float_ns prev in
-    List.iter
-      (fun f ->
-        let d = f.Scenarios.take_bytes () in
-        match List.assoc_opt f.Scenarios.label samples with
-        | Some r -> r := (prev_ns, now_ns, d) :: !r
-        | None -> ())
-      built.Scenarios.flows;
-    if Time.(now < t_end) then
-      ignore
-        (Engine.schedule_l engine ~delay:profile.sample_every ~label:k_tick
-           (tick now))
-  in
-  ignore
-    (Engine.schedule_at_l engine ~at:(Time.add t0 profile.sample_every)
-       ~label:k_tick (tick t0));
-  Engine.run ~until:t_end engine;
-  built.Scenarios.stop ();
-  List.map (fun (l, r) -> (l, List.rev !r)) samples
-
-let frac profile f =
-  Time.add profile.warmup
-    (Time.of_float_ns (f *. Time.to_float_ns profile.duration))
-
-let ratio rate ref_ = if ref_ <= 0. then 1. else rate /. ref_
-let sibling_ok p = ratio p.ap_sibling_rate p.ap_sibling_ref >= 0.9
+let window p =
+  { Blast.warmup = p.warmup; duration = p.duration; sample_every = p.sample_every }
 
 (* ------------------------------------------------------------------ *)
 (* Frame forge                                                         *)
@@ -583,6 +511,33 @@ let drop_count key =
   | Some n -> n
   | None -> 0
 
+(* Launch an attack now and track its id for the phase gate. *)
+let launch_now rt engine ids cls ~name ~target =
+  let at_ns = Time.to_float_ns (Engine.now engine) in
+  let id = Rt.launch rt cls ~name ~at_ns ~target in
+  ids := id :: !ids;
+  id
+
+(* Snapshot the acceptable (stage, reason) drop counters; the returned
+   probe finds the first that has moved since, with its growth. *)
+let drop_probe keys =
+  let before = List.map (fun k -> (k, drop_count k)) keys in
+  fun () ->
+    List.find_map
+      (fun (k, b) ->
+        let n = drop_count k in
+        if n > b then Some (k, n - b) else None)
+      before
+
+(* Re-run [check] every 100 us while it asks to continue and [until]
+   has not passed. *)
+let poll engine ~until check =
+  let rec go () =
+    if check () && Time.(Engine.now engine < until) then
+      ignore (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check go)
+  in
+  ignore (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check go)
+
 (* Register, inject and schedule the verdict check for one wire attack.
    Injected frames share the legitimate traffic's serialisation queue
    and the stack's poll cadence, so the typed drop lands a few hundred
@@ -593,44 +548,29 @@ let drop_count key =
 let launch_wire rt engine link ~target ~stack_name attack ~at ~until ids =
   ignore
     (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
-         if attack.wa_frames = [] then ()
-         else begin
-           let at_ns = Time.to_float_ns (Engine.now engine) in
+         if attack.wa_frames <> [] then begin
            let id =
-             Rt.launch rt attack.wa_cls ~name:attack.wa_name ~at_ns ~target
+             launch_now rt engine ids attack.wa_cls ~name:attack.wa_name ~target
            in
-           ids := id :: !ids;
-           let before =
-             List.map (fun k -> (k, drop_count k)) attack.wa_expect
-           in
+           let moved = drop_probe attack.wa_expect in
            List.iter
              (fun f ->
                ignore
                  (Nic.Link.inject link ~into:Nic.Link.A ~frame:(Bytes.copy f)
                     ()))
              attack.wa_frames;
-           let rec check () =
-             match
-               List.find_opt (fun (k, b) -> drop_count k > b) before
-             with
-             | Some ((st, re), b) ->
-               Rt.resolve_caught rt id ~stage:(Ft.stage_name st)
-                 ~reason:(Ft.reason_name re);
-               Rt.set_provenance rt id
-                 (Printf.sprintf
-                    "%s; attributed at %s's %s/%s guard (+%d typed drops)"
-                    attack.wa_note stack_name (Ft.stage_name st)
-                    (Ft.reason_name re)
-                    (drop_count (st, re) - b))
-             | None ->
-               if Time.(Engine.now engine < until) then
-                 ignore
-                   (Engine.schedule_l engine ~delay:(Time.us 100)
-                      ~label:k_check check)
-           in
-           ignore
-             (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check
-                check)
+           poll engine ~until (fun () ->
+               match moved () with
+               | Some ((st, re), n) ->
+                 Rt.resolve_caught rt id ~stage:(Ft.stage_name st)
+                   ~reason:(Ft.reason_name re);
+                 Rt.set_provenance rt id
+                   (Printf.sprintf
+                      "%s; attributed at %s's %s/%s guard (+%d typed drops)"
+                      attack.wa_note stack_name (Ft.stage_name st)
+                      (Ft.reason_name re) n);
+                 false
+               | None -> true)
          end))
 
 let exhaust_expect =
@@ -650,24 +590,19 @@ let launch_exhaust rt engine pool ~target ~at ~window ~until ?spray ids
     recovered_flag =
   ignore
     (Engine.schedule_at_l engine ~at ~label:k_inject (fun () ->
-         let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =
-           Rt.launch rt Rt.Resource ~name:"mbuf_exhaust_spray" ~at_ns ~target
+           launch_now rt engine ids Rt.Resource ~name:"mbuf_exhaust_spray" ~target
          in
-         ids := id :: !ids;
-         let before = List.map (fun k -> (k, drop_count k)) exhaust_expect in
+         let moved = drop_probe exhaust_expect in
          let stolen = ref [] in
          let held = ref 0 in
-         let steal () =
-           let rec go () =
-             match Dpdk.Mbuf.alloc pool with
-             | Some m ->
-               stolen := m :: !stolen;
-               incr held;
-               go ()
-             | None -> ()
-           in
-           go ()
+         let rec steal () =
+           match Dpdk.Mbuf.alloc pool with
+           | Some m ->
+             stolen := m :: !stolen;
+             incr held;
+             steal ()
+           | None -> ()
          in
          steal ();
          let t_free = Time.add (Engine.now engine) window in
@@ -701,11 +636,9 @@ let launch_exhaust rt engine pool ~target ~at ~window ~until ?spray ids
                 List.iter Dpdk.Mbuf.free !stolen;
                 stolen := []));
          let resolved = ref false in
-         let rec check () =
-           (match
-              List.find_opt (fun (k, b) -> drop_count k > b) before
-            with
-           | Some ((st, re), b) when not !resolved ->
+         poll engine ~until (fun () ->
+           (match moved () with
+           | Some ((st, re), n) when not !resolved ->
              resolved := true;
              Rt.resolve_caught rt id ~stage:(Ft.stage_name st)
                ~reason:(Ft.reason_name re);
@@ -717,28 +650,17 @@ let launch_exhaust rt engine pool ~target ~at ~window ~until ?spray ids
                   (if sprayed > 0 then
                      Printf.sprintf " and sprayed %d runt frames" sprayed
                    else "")
-                  (Ft.stage_name st) (Ft.reason_name re)
-                  (drop_count (st, re) - b))
+                  (Ft.stage_name st) (Ft.reason_name re) n)
            | _ -> ());
            if
              (not !recovered_flag)
              && !stolen = []
              && Dpdk.Mbuf.available pool > 0
            then recovered_flag := true;
-           if
-             ((not !resolved) || not !recovered_flag)
-             && Time.(Engine.now engine < until)
-           then
-             ignore
-               (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check
-                  check)
-         in
-         ignore
-           (Engine.schedule_l engine ~delay:(Time.us 100) ~label:k_check
-              check)))
+           (not !resolved) || not !recovered_flag)))
 
 (* ------------------------------------------------------------------ *)
-(* Phase: baseline dual-port (MMU-only model)                          *)
+(* Phases 1 and 2: dual-port, MMU-only baseline and CHERI             *)
 (* ------------------------------------------------------------------ *)
 
 let forge_for built ~subnet =
@@ -808,82 +730,19 @@ let mmu_attacks rt engine iv mem ~at ids =
                   (Capvm.Cvm.name victim))
          | [] -> ()))
 
-let phase_baseline rt profile ~seed =
-  let topo_seed = Int64.add seed 3L in
-  let direction = Scenarios.Dut_receives in
+(* Phases 1 and 2 attack port 0 of the dual-port topology; port 1 is
+   the control. [cheri:false] is the MMU-only Baseline: the parser
+   checks are software and present in both models, so a representative
+   slice of the wire corpus is caught there too. The memory attacks are
+   where the models diverge. *)
+let phase_dual_port rt profile ~seed ~cheri =
+  let w = window profile in
+  let topo_seed = Int64.add seed (if cheri then 1L else 3L) in
   let build () =
-    Scenarios.build_dual_port ~cheri:false ~seed:topo_seed ~direction ()
+    Scenarios.build_dual_port ~cheri ~seed:topo_seed
+      ~direction:Scenarios.Dut_receives ()
   in
-  let ub = build () in
-  let ref_samples = drive ub profile ~after_warmup:(fun () -> ()) in
-  Ft.clear Ft.default;
-  let built = build () in
-  let engine = built.Scenarios.engine in
-  let victim = (List.nth built.Scenarios.flows 0).Scenarios.label in
-  let sibling = (List.nth built.Scenarios.flows 1).Scenarios.label in
-  let fg = forge_for built ~subnet:0 in
-  let link0 = List.hd built.Scenarios.links in
-  let nif = List.hd built.Scenarios.dut_netifs in
-  let stack_name = victim in
-  let ids = ref [] in
-  let rng = Rt.rng rt in
-  let t_end = Time.add profile.warmup profile.duration in
-  (* The parser checks are software and present in both models: a
-     representative slice of the wire corpus is caught here too. The
-     memory attacks are where the models diverge. *)
-  let wire =
-    List.filter
-      (fun a ->
-        List.mem a.wa_name
-          [ "eth_runt"; "ipv4_lying_total_len"; "ipv4_fragment";
-            "tcp_bad_checksum" ])
-      (parser_corpus rng fg)
-  in
-  List.iteri
-    (fun i a ->
-      launch_wire rt engine link0 ~target:victim ~stack_name a
-        ~at:(frac profile (0.10 +. (0.03 *. float_of_int i)))
-        ~until:t_end ids)
-    wire;
-  mmu_attacks rt engine
-    (Topology.intravisor built.Scenarios.dut)
-    (Topology.node_mem built.Scenarios.dut)
-    ~at:(frac profile 0.45) ids;
-  let pool_recovered = ref false in
-  launch_exhaust rt engine nif.Topology.pool ~target:victim
-    ~at:(frac profile 0.60) ~window:(Time.ms 3) ~until:t_end
-    ~spray:(link0, spray_runt fg, 800) ids pool_recovered;
-  let samples = drive built profile ~after_warmup:(fun () -> ()) in
-  let drops = Ft.drop_table Ft.default in
-  let rate l ss = rate_outside (List.assoc l ss) [] in
-  {
-    ap_title =
-      "phase 1: Baseline dual-port (MMU-only) - wire corpus caught, memory \
-       corpus leaks silently";
-    ap_victim = victim;
-    ap_sibling = sibling;
-    ap_ids = List.rev !ids;
-    ap_drops = drops;
-    ap_sibling_rate = rate sibling samples;
-    ap_sibling_ref = rate sibling ref_samples;
-    ap_victim_rate = rate victim samples;
-    ap_victim_ref = rate victim ref_samples;
-    ap_mutex_free = true;
-    ap_pool_recovered = !pool_recovered;
-    ap_rst_sent = (Netstack.Stack.counters nif.Topology.stack).rst_sent;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Phase: Scenario 1 dual-port                                         *)
-(* ------------------------------------------------------------------ *)
-
-let phase_s1 rt profile ~seed =
-  let topo_seed = Int64.add seed 1L in
-  let direction = Scenarios.Dut_receives in
-  let build () = Scenarios.build_dual_port ~seed:topo_seed ~direction () in
-  let ub = build () in
-  let ref_samples = drive ub profile ~after_warmup:(fun () -> ()) in
-  Ft.clear Ft.default;
+  let ref_samples = Blast.reference ~component w (build ()) in
   let built = build () in
   let engine = built.Scenarios.engine in
   let victim = (List.nth built.Scenarios.flows 0).Scenarios.label in
@@ -895,14 +754,26 @@ let phase_s1 rt profile ~seed =
   let ids = ref [] in
   let rng = Rt.rng rt in
   let t_end = Time.add profile.warmup profile.duration in
-  let wire =
-    parser_corpus rng fg
-    @ blind_corpus rng fg ~src_port:49152 ~dst_port:5201
-    @ [
-        syn_flood rng fg ~server_port:5201 ~n:20;
-        frag_flood rng fg ~n:24;
-        port_scan rng fg ~n:8;
-      ]
+  let wire, first, spacing =
+    if cheri then
+      ( parser_corpus rng fg
+        @ blind_corpus rng fg ~src_port:49152 ~dst_port:5201
+        @ [
+            syn_flood rng fg ~server_port:5201 ~n:20;
+            frag_flood rng fg ~n:24;
+            port_scan rng fg ~n:8;
+          ],
+        0.08,
+        0.02 )
+    else
+      ( List.filter
+          (fun a ->
+            List.mem a.wa_name
+              [ "eth_runt"; "ipv4_lying_total_len"; "ipv4_fragment";
+                "tcp_bad_checksum" ])
+          (parser_corpus rng fg),
+        0.10,
+        0.03 )
   in
   (* Wire injections finish (and their drops land) before the exhaust
      spray starts: a frame arriving during the ring-drain outage would
@@ -910,29 +781,33 @@ let phase_s1 rt profile ~seed =
   List.iteri
     (fun i a ->
       launch_wire rt engine link0 ~target:victim ~stack_name:victim a
-        ~at:(frac profile (0.08 +. (0.02 *. float_of_int i)))
+        ~at:(Blast.frac w (first +. (spacing *. float_of_int i)))
         ~until:t_end ids)
     wire;
+  if not cheri then
+    mmu_attacks rt engine
+      (Topology.intravisor built.Scenarios.dut)
+      (Topology.node_mem built.Scenarios.dut)
+      ~at:(Blast.frac w 0.45) ids;
   let pool_recovered = ref false in
   launch_exhaust rt engine nif.Topology.pool ~target:victim
-    ~at:(frac profile 0.55) ~window:(Time.ms 3) ~until:t_end
+    ~at:(Blast.frac w (if cheri then 0.55 else 0.60))
+    ~window:(Time.ms 3) ~until:t_end
     ~spray:(link0, spray_runt fg, 800) ids pool_recovered;
-  let samples = drive built profile ~after_warmup:(fun () -> ()) in
-  let drops = Ft.drop_table Ft.default in
+  let samples = Blast.drive ~component w built in
   let rst_after = (Netstack.Stack.counters nif.Topology.stack).rst_sent in
-  let rate l ss = rate_outside (List.assoc l ss) [] in
   {
-    ap_title =
-      "phase 2: Scenario 1 dual-port (CHERI) - full wire corpus against \
-       port 0, port 1 is the control";
-    ap_victim = victim;
-    ap_sibling = sibling;
+    blast =
+      Blast.phase
+        ~title:
+          (if cheri then
+             "phase 2: Scenario 1 dual-port (CHERI) - full wire corpus \
+              against port 0, port 1 is the control"
+           else
+             "phase 1: Baseline dual-port (MMU-only) - wire corpus caught, \
+              memory corpus leaks silently")
+        ~victim ~sibling [] ~ref_samples samples;
     ap_ids = List.rev !ids;
-    ap_drops = drops;
-    ap_sibling_rate = rate sibling samples;
-    ap_sibling_ref = rate sibling ref_samples;
-    ap_victim_rate = rate victim samples;
-    ap_victim_ref = rate victim ref_samples;
     ap_mutex_free = true;
     ap_pool_recovered = !pool_recovered;
     ap_rst_sent = rst_after - rst_before;
@@ -942,12 +817,8 @@ let phase_s1 rt profile ~seed =
 (* Phase: Scenario 2 shared stack                                      *)
 (* ------------------------------------------------------------------ *)
 
-let get_sup sup_ref =
-  match !sup_ref with
-  | Some s -> s
-  | None -> invalid_arg "redteam: builder did not instantiate the supervisor"
-
 let phase_s2 rt profile ~seed ~blackbox_dir =
+  let w = window profile in
   let topo_seed = Int64.add seed 2L in
   (* Dut_sends, like the chaos harness: the DUT apps are clients, so a
      supervised restart reconnects from a fresh ephemeral port instead
@@ -958,9 +829,7 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
     Scenarios.build_scenario2 ~seed:topo_seed ~contended:true
       ~lock_policy:Capvm.Umtx.Fifo ?supervise ?app_hook ~direction ()
   in
-  let ub = build () in
-  let ref_samples = drive ub profile ~after_warmup:(fun () -> ()) in
-  Ft.clear Ft.default;
+  let ref_samples = Blast.reference ~component w (build ()) in
   (* The close-race attack: a hostile app step inside the supervised
      ff_* boundary, holding the shared mutex. The app frees its rx
      buffer (socket teardown racing the epoll wakeup), then dereferences
@@ -1006,44 +875,32 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
       | None -> ()
     end
   in
-  let sup_ref = ref None in
-  let supervise engine =
-    let sup =
-      Sup.create engine ~seed:(Int64.add seed 102L)
-        ~policy:
-          (Sup.Restart
-             { budget = 1; backoff_base = Time.us 50; backoff_max = Time.ms 2;
-               jitter_pct = 0.1 })
-        ()
-    in
-    sup_ref := Some sup;
-    sup
+  let on_transition ~cvm ~old_state st =
+    if cvm = "cVM3" && !race_id >= 0 then begin
+      (match (old_state, st) with
+      | Sup.Restarting, Sup.Running ->
+        Rt.resolve_caught rt !race_id ~stage:"supervisor"
+          ~reason:"capability_fault";
+        Rt.set_provenance rt !race_id !race_provenance
+      | _, Sup.Dead ->
+        Rt.resolve_caught rt !race_id ~stage:"supervisor" ~reason:"quarantined";
+        Rt.set_provenance rt !race_id !race_provenance
+      | _ -> ());
+      match blackbox_dir with
+      | Some dir ->
+        Rt.set_blackbox rt !race_id (Filename.concat dir "cVM3.blackbox.json")
+      | None -> ()
+    end
+  in
+  let supervise, get_sup =
+    Blast.supervised ~component ?blackbox_dir ~on_transition (fun engine ->
+        Sup.create engine ~seed:(Int64.add seed 102L) ~policy:Blast.restart_once
+          ())
   in
   let built = build ~supervise ~app_hook () in
   let engine = built.Scenarios.engine in
   mem_ref := Some (Topology.node_mem built.Scenarios.dut);
-  let sup = get_sup sup_ref in
-  Sup.set_blackbox_dir sup blackbox_dir;
-  Sup.set_on_transition sup
-    (Some
-       (fun ~cvm ~old_state st ->
-         if cvm = "cVM3" && !race_id >= 0 then begin
-           (match (old_state, st) with
-           | Sup.Restarting, Sup.Running ->
-             Rt.resolve_caught rt !race_id ~stage:"supervisor"
-               ~reason:"capability_fault";
-             Rt.set_provenance rt !race_id !race_provenance
-           | _, Sup.Dead ->
-             Rt.resolve_caught rt !race_id ~stage:"supervisor"
-               ~reason:"quarantined";
-             Rt.set_provenance rt !race_id !race_provenance
-           | _ -> ());
-           match blackbox_dir with
-           | Some dir ->
-             Rt.set_blackbox rt !race_id
-               (Filename.concat dir "cVM3.blackbox.json")
-           | None -> ()
-         end));
+  let sup = get_sup () in
   let victim = (List.nth built.Scenarios.flows 1).Scenarios.label in
   let sibling = (List.nth built.Scenarios.flows 0).Scenarios.label in
   let victim_cvm = List.nth built.Scenarios.app_cvms 1 in
@@ -1078,12 +935,12 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
     (fun i a ->
       launch_wire rt engine link0 ~target:"cVM1 (shared stack)"
         ~stack_name:"cVM1" a
-        ~at:(frac profile (0.08 +. (0.03 *. float_of_int i)))
+        ~at:(Blast.frac w (0.08 +. (0.03 *. float_of_int i)))
         ~until:t_end ids)
     wire;
   (* Arm the close race mid-transfer. *)
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.45) ~label:k_inject
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.45) ~label:k_inject
        (fun () ->
          race_armed := true));
   (* Stale-fd epoll probe against the shared stack's own API: close an
@@ -1091,14 +948,12 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
      wakeup ever surfaces (the close-race the PR hardened). *)
   let ff = nif.Topology.ff in
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.55) ~label:k_inject
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.55) ~label:k_inject
        (fun () ->
-         let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =
-           Rt.launch rt Rt.Temporal ~name:"epoll_stale_fd" ~at_ns
+           launch_now rt engine ids Rt.Temporal ~name:"epoll_stale_fd"
              ~target:"cVM1 (shared stack)"
          in
-         ids := id :: !ids;
          match
            (Netstack.Ff_api.ff_socket ff, Netstack.Ff_api.ff_epoll_create ff)
          with
@@ -1126,33 +981,28 @@ let phase_s2 rt profile ~seed ~blackbox_dir =
            Rt.resolve_leaked rt id ~detail:"could not allocate probe fds"));
   let pool_recovered = ref false in
   launch_exhaust rt engine nif.Topology.pool ~target:"cVM1 (shared stack)"
-    ~at:(frac profile 0.70) ~window:profile.exhaust_window ~until:t_end ids
+    ~at:(Blast.frac w 0.70) ~window:profile.exhaust_window ~until:t_end ids
     pool_recovered;
-  let samples = drive built profile ~after_warmup:(fun () -> ()) in
+  let samples = Blast.drive ~component w built in
   (* The close race launches from inside the hook with a placeholder
      timestamp; every id must still be tracked for the phase gate. *)
   if !race_id >= 0 then ids := !race_id :: !ids;
-  let drops = Ft.drop_table Ft.default in
   let rst_after = (Netstack.Stack.counters nif.Topology.stack).rst_sent in
-  let windows = Sup.quarantine_windows sup ~cvm:victim_cvm in
-  let rate l ss = rate_outside (List.assoc l ss) windows in
   let mutex_free =
     match built.Scenarios.mutex with
     | Some m -> Capvm.Umtx.holder m <> Some "cVM3"
     | None -> true
   in
   {
-    ap_title =
-      "phase 3: Scenario 2 shared stack (CHERI) - cross-tenant probes, \
-       close races and floods against cVM1";
-    ap_victim = victim;
-    ap_sibling = sibling;
+    blast =
+      Blast.phase
+        ~title:
+          "phase 3: Scenario 2 shared stack (CHERI) - cross-tenant probes, \
+           close races and floods against cVM1"
+        ~victim ~sibling
+        (Sup.quarantine_windows sup ~cvm:victim_cvm)
+        ~ref_samples samples;
     ap_ids = List.sort_uniq compare !ids;
-    ap_drops = drops;
-    ap_sibling_rate = rate sibling samples;
-    ap_sibling_ref = rate sibling ref_samples;
-    ap_victim_rate = rate victim samples;
-    ap_victim_ref = rate victim ref_samples;
     ap_mutex_free = mutex_free;
     ap_pool_recovered = !pool_recovered;
     ap_rst_sent = rst_after - rst_before;
@@ -1183,56 +1033,36 @@ let outcome_line rt b id =
     | None -> ()
 
 let phase_section rt b p =
-  Printf.bprintf b "-- %s --\n" p.ap_title;
-  List.iter (outcome_line rt b) p.ap_ids;
-  if p.ap_drops = [] then Printf.bprintf b "  drop table: (empty)\n"
-  else begin
-    Printf.bprintf b "  drop table (stage/reason -> frames):\n";
-    List.iter
-      (fun ((st, r), n) ->
-        Printf.bprintf b "    %-10s %-16s %6d\n" (Ft.stage_name st)
-          (Ft.reason_name r) n)
-      p.ap_drops
-  end;
-  if p.ap_rst_sent > 0 then
-    Printf.bprintf b "  RSTs answered to probes: %d\n" p.ap_rst_sent;
-  Printf.bprintf b "  mbuf pool recovered after spray: %s\n"
-    (if p.ap_pool_recovered then "yes" else "NO");
-  if not p.ap_mutex_free then
-    Printf.bprintf b "  shared mutex: LEFT HELD BY VICTIM\n";
-  Printf.bprintf b
-    "  sibling %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f) [%s]\n"
-    p.ap_sibling p.ap_sibling_rate p.ap_sibling_ref
-    (ratio p.ap_sibling_rate p.ap_sibling_ref)
-    (if sibling_ok p then "ok" else "FAIL");
-  Printf.bprintf b
-    "  victim  %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f)\n"
-    p.ap_victim p.ap_victim_rate p.ap_victim_ref
-    (ratio p.ap_victim_rate p.ap_victim_ref)
+  Blast.section b p.blast
+    ~before_drops:(fun b -> List.iter (outcome_line rt b) p.ap_ids)
+    ~after_drops:(fun b ->
+      if p.ap_rst_sent > 0 then
+        Printf.bprintf b "  RSTs answered to probes: %d\n" p.ap_rst_sent;
+      Printf.bprintf b "  mbuf pool recovered after spray: %s\n"
+        (if p.ap_pool_recovered then "yes" else "NO");
+      if not p.ap_mutex_free then
+        Printf.bprintf b "  shared mutex: LEFT HELD BY VICTIM\n")
 
-let caught id rt =
-  match Rt.find rt id with
-  | Some { Rt.outcome = Rt.Caught _; _ } -> true
-  | _ -> false
+(* How many of [ids] ended with an outcome satisfying [pred]. *)
+let count_outcomes rt ids pred =
+  List.length
+    (List.filter
+       (fun id ->
+         match Rt.find rt id with Some l -> pred l.Rt.outcome | None -> false)
+       ids)
 
 let run ?(profile = quick) ?blackbox_dir ~seed () =
-  let ft_was = Ft.enabled Ft.default in
-  let audit_was = Dsim.Audit.(enabled default) in
-  Ft.set_enabled Ft.default true;
-  Ft.clear Ft.default;
+  let rt = Rt.create ~seed in
   (* Provenance cross-references need the audit DAG recording in both
      the twin and the attacked run (identical settings keep the pair
      comparable). *)
-  Dsim.Audit.(set_enabled default true);
-  let rt = Rt.create ~seed in
-  let p1 = phase_baseline rt profile ~seed in
-  let p2 = phase_s1 rt profile ~seed in
-  let p3 = phase_s2 rt profile ~seed ~blackbox_dir in
-  Ft.clear Ft.default;
-  Ft.set_enabled Ft.default ft_was;
-  Dsim.Audit.(set_enabled default audit_was);
+  let p1, p2, p3 =
+    Ft.with_recording Ft.default @@ fun () ->
+    Dsim.Audit.(with_recording default) @@ fun () ->
+    let p1 = phase_dual_port rt profile ~seed ~cheri:false in
+    let p2 = phase_dual_port rt profile ~seed ~cheri:true in
+    (p1, p2, phase_s2 rt profile ~seed ~blackbox_dir)
+  in
   let phases = [ p1; p2; p3 ] in
   let counts = Rt.counts rt in
   let launched = Rt.launched_count rt in
@@ -1242,22 +1072,16 @@ let run ?(profile = quick) ?blackbox_dir ~seed () =
   let cheri_ids = p2.ap_ids @ p3.ap_ids in
   let cheri_launched = List.length cheri_ids in
   let cheri_caught =
-    List.length (List.filter (fun id -> caught id rt) cheri_ids)
+    count_outcomes rt cheri_ids (function Rt.Caught _ -> true | _ -> false)
   in
   let baseline_leaks =
-    List.length
-      (List.filter
-         (fun id ->
-           match Rt.find rt id with
-           | Some { Rt.outcome = Rt.Leaked _; _ } -> true
-           | _ -> false)
-         p1.ap_ids)
+    count_outcomes rt p1.ap_ids (function Rt.Leaked _ -> true | _ -> false)
   in
   let pass =
     pending = 0 && launched > 0
     && cheri_caught = cheri_launched
     && baseline_leaks >= 1
-    && List.for_all sibling_ok phases
+    && List.for_all (fun p -> Blast.sibling_ok p.blast) phases
     && List.for_all (fun p -> p.ap_mutex_free && p.ap_pool_recovered) phases
   in
   let b = Buffer.create 8192 in
@@ -1280,31 +1104,13 @@ let run ?(profile = quick) ?blackbox_dir ~seed () =
   Printf.bprintf b "unresolved attacks: %d\n" pending;
   Printf.bprintf b "verdict: %s\n" (if pass then "PASS" else "FAIL");
   let phase_json p =
-    Dsim.Json.Obj
-      [
-        ("title", Dsim.Json.String p.ap_title);
-        ("victim", Dsim.Json.String p.ap_victim);
-        ("sibling", Dsim.Json.String p.ap_sibling);
-        ("sibling_ratio",
-         Dsim.Json.Float (ratio p.ap_sibling_rate p.ap_sibling_ref));
-        ("victim_ratio",
-         Dsim.Json.Float (ratio p.ap_victim_rate p.ap_victim_ref));
-        ("sibling_ok", Dsim.Json.Bool (sibling_ok p));
-        ("mutex_free", Dsim.Json.Bool p.ap_mutex_free);
-        ("pool_recovered", Dsim.Json.Bool p.ap_pool_recovered);
-        ("rst_sent", Dsim.Json.Int p.ap_rst_sent);
-        ( "drops",
-          Dsim.Json.List
-            (List.map
-               (fun ((st, r), n) ->
-                 Dsim.Json.Obj
-                   [
-                     ("stage", Dsim.Json.String (Ft.stage_name st));
-                     ("reason", Dsim.Json.String (Ft.reason_name r));
-                     ("frames", Dsim.Json.Int n);
-                   ])
-               p.ap_drops) );
-      ]
+    Blast.phase_json p.blast
+      ~extra:
+        [
+          ("mutex_free", Dsim.Json.Bool p.ap_mutex_free);
+          ("pool_recovered", Dsim.Json.Bool p.ap_pool_recovered);
+          ("rst_sent", Dsim.Json.Int p.ap_rst_sent);
+        ]
   in
   let json =
     Dsim.Json.Obj

@@ -23,9 +23,9 @@
     Attack frames enter via {!Nic.Link.inject} (the tamper hook), so
     they share serialisation, FCS and propagation with legitimate
     traffic and runs stay deterministic per seed. Each phase runs an
-    undisturbed twin first (same topology seed, no attacks); the PR 4
-    blast-radius gate extends to attacked runs: sibling goodput outside
-    quarantine must be >= 0.9x its twin. *)
+    undisturbed twin first (same topology seed, no attacks); the
+    {!Blast} sibling gate extends to attacked runs: sibling goodput
+    outside quarantine must be >= 0.9x its twin. *)
 
 type profile = {
   warmup : Dsim.Time.t;
@@ -42,15 +42,8 @@ val full : profile
 (** 20 ms warmup, 120 ms attacked window. *)
 
 type phase = {
-  ap_title : string;
-  ap_victim : string;
-  ap_sibling : string;
+  blast : Blast.phase;  (** Roles, drop table and twin goodput. *)
   ap_ids : int list;  (** Ledger ids launched during this phase. *)
-  ap_drops : ((Dsim.Flowtrace.stage * Dsim.Flowtrace.reason) * int) list;
-  ap_sibling_rate : float;  (** Gbit/s outside quarantine. *)
-  ap_sibling_ref : float;  (** Undisturbed twin, same windows. *)
-  ap_victim_rate : float;
-  ap_victim_ref : float;
   ap_mutex_free : bool;
       (** Shared mutex not left held by the victim cVM. *)
   ap_pool_recovered : bool;  (** Mbufs available again after the spray. *)

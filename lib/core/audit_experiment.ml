@@ -57,20 +57,15 @@ type report = {
 (* Driving one scenario under the ledger                               *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_ledger profile =
-  let au = Au.default in
-  Au.clear au;
-  Pv.clear ();
-  Au.set_enabled au true;
-  Au.set_strict au false;
-  Au.set_sample_every au profile.sample_every;
-  au
+(* The audit samples no goodput: one sample window spans the run. *)
+let window p =
+  { Blast.warmup = p.warmup; duration = p.duration; sample_every = p.duration }
 
-let drive built profile =
-  Engine.run
-    ~until:(Time.add profile.warmup profile.duration)
-    built.Scenarios.engine;
-  built.Scenarios.stop ()
+(* Each scenario starts from an empty ledger and DAG. *)
+let clear_ledger () =
+  Au.clear Au.default;
+  Pv.clear ();
+  Au.default
 
 let snapshot au ~id ~title =
   let violations = Au.violations au in
@@ -99,49 +94,35 @@ let snapshot au ~id ~title =
    the snapshot plus the DUT-side compartment names (the surface
    comparison needs to know which surfaces belong to app cVMs). *)
 let run_scenario profile ~id ~title build =
-  let au = fresh_ledger profile in
+  let au = clear_ledger () in
   let built = build () in
   let apps = List.map Capvm.Cvm.name built.Scenarios.app_cvms in
-  drive built profile;
+  Blast.run_window (window profile) built;
   (snapshot au ~id ~title, apps)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded chaos capability-fault run (cross-reference section)         *)
 (* ------------------------------------------------------------------ *)
 
-let frac profile f =
-  Time.add profile.warmup
-    (Time.of_float_ns (f *. Time.to_float_ns profile.duration))
-
 let run_chaos_section profile ~seed =
-  let au = fresh_ledger profile in
+  let au = clear_ledger () in
   let ch = Ch.create ~seed in
-  let victim = "cVM1" in
-  let engine_ref = ref None in
-  let due = ref 0 in
-  let app_hook cvm =
-    if Capvm.Cvm.name cvm = victim && !due > 0 then begin
-      decr due;
-      let at_ns =
-        match !engine_ref with
-        | Some e -> Time.to_float_ns (Engine.now e)
-        | None -> 0.
-      in
-      ignore (Ch.inject ch Ch.Cap_fault ~at_ns ~target:victim);
-      Cheri.Fault.raise_fault Cheri.Fault.Tag_violation ~address:0
-        ~detail:"audit: injected capability fault"
-    end
+  let ci =
+    Blast.cap_injector ~component:"audit" ch
+      ~detail:"audit: injected capability fault" (fun engine ->
+        Sup.create engine ~seed:(Int64.add seed 101L) ())
   in
-  let supervise engine = Sup.create engine ~seed:(Int64.add seed 101L) () in
   let built =
-    Scenarios.build_dual_port ~seed:(Int64.add seed 3L) ~supervise ~app_hook
+    Scenarios.build_dual_port ~seed:(Int64.add seed 3L)
+      ~supervise:ci.Blast.ci_supervise ~app_hook:ci.Blast.ci_hook
       ~direction:Scenarios.Dut_receives ()
   in
-  engine_ref := Some built.Scenarios.engine;
   ignore
-    (Engine.schedule_at_l built.Scenarios.engine ~at:(frac profile 0.35)
-       ~label:k_audit_arm (fun () -> due := 1));
-  drive built profile;
+    (Engine.schedule_at_l built.Scenarios.engine
+       ~at:(Blast.frac (window profile) 0.35)
+       ~label:k_audit_arm
+       (fun () -> ci.Blast.ci_arm "cVM1"));
+  Blast.run_window (window profile) built;
   let violations = Au.violations au in
   let cap_targets =
     List.filter_map
@@ -286,8 +267,7 @@ let reachable_of sc name =
   | None -> 0
 
 let run ?(profile = quick) ~seed () =
-  let au = Au.default in
-  let was_enabled = Au.enabled au and was_sample = Au.sample_every au in
+  Au.with_recording ~sample_every:profile.sample_every Au.default @@ fun () ->
   let baseline, _ =
     run_scenario profile ~id:"baseline"
       ~title:"single MMU process, single port"
@@ -310,8 +290,6 @@ let run ?(profile = quick) ~seed () =
           ~direction:Scenarios.Dut_sends ())
   in
   let chaos = run_chaos_section profile ~seed in
-  Au.set_enabled au was_enabled;
-  Au.set_sample_every au was_sample;
   Pv.clear ();
   let scenarios = [ baseline; s1; s2 ] in
   let invariant_stock =

@@ -4,11 +4,11 @@ module Time = Dsim.Time
 module Engine = Dsim.Engine
 module Sup = Capvm.Supervisor
 
-let k_chaos stage =
-  Dsim.Profile.(key default) ~component:"chaos" ~cvm:"-" ~stage
+let component = "chaos"
+let detail = "chaos: injected capability fault"
 
-let k_arm = k_chaos "warmup_arm"
-let k_tick = k_chaos "sample_tick"
+let k_chaos stage = Dsim.Profile.(key default) ~component ~cvm:"-" ~stage
+
 let k_inject = k_chaos "inject"
 let k_heartbeat = k_chaos "heartbeat"
 
@@ -41,16 +41,7 @@ let full =
     eintr_every = Time.us 200;
   }
 
-type phase = {
-  ph_title : string;
-  ph_victim : string;
-  ph_sibling : string;
-  ph_drops : ((Ft.stage * Ft.reason) * int) list;
-  ph_sibling_rate : float;
-  ph_sibling_ref : float;
-  ph_victim_rate : float;
-  ph_victim_ref : float;
-}
+type phase = Blast.phase
 
 type report = {
   seed : int64;
@@ -64,155 +55,8 @@ type report = {
   text : string;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Goodput sampling                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* A sample is one [(t0_ns, t1_ns, bytes)] window of a flow's goodput. *)
-
-let overlaps (a, b) windows =
-  List.exists
-    (fun (ws, we) ->
-      let ws = Time.to_float_ns ws in
-      match we with
-      | Some we -> a < Time.to_float_ns we && b > ws
-      | None -> b > ws)
-    windows
-
-(* Gbit/s over the samples that do not intersect a quarantine window
-   (bits per virtual nanosecond = Gbit/s). *)
-let rate_outside samples windows =
-  let bytes, ns =
-    List.fold_left
-      (fun (bytes, ns) (a, b, d) ->
-        if overlaps (a, b) windows then (bytes, ns)
-        else (bytes + d, ns +. (b -. a)))
-      (0, 0.) samples
-  in
-  if ns <= 0. then 0. else float_of_int (bytes * 8) /. ns
-
-(* Drive [built] through warmup + duration, sampling every flow's byte
-   delta each [sample_every]. [after_warmup] arms the chaos engine;
-   [on_tick] sees each sample (the recovery watchers). Returns the
-   per-flow samples in chronological order. *)
-let drive built profile ~after_warmup ~on_tick =
-  let engine = built.Scenarios.engine in
-  let samples =
-    List.map (fun f -> (f.Scenarios.label, ref [])) built.Scenarios.flows
-  in
-  let t0 = profile.warmup in
-  let t_end = Time.add t0 profile.duration in
-  ignore
-    (Engine.schedule_at_l engine ~at:t0 ~label:k_arm (fun () ->
-         List.iter
-           (fun f -> ignore (f.Scenarios.take_bytes ()))
-           built.Scenarios.flows;
-         after_warmup ()));
-  let rec tick prev () =
-    let now = Engine.now engine in
-    let now_ns = Time.to_float_ns now and prev_ns = Time.to_float_ns prev in
-    let deltas =
-      List.map
-        (fun f -> (f.Scenarios.label, f.Scenarios.take_bytes ()))
-        built.Scenarios.flows
-    in
-    List.iter
-      (fun (l, d) ->
-        match List.assoc_opt l samples with
-        | Some r -> r := (prev_ns, now_ns, d) :: !r
-        | None -> ())
-      deltas;
-    on_tick ~now_ns deltas;
-    if Time.(now < t_end) then
-      ignore (Engine.schedule_l engine ~delay:profile.sample_every ~label:k_tick (tick now))
-  in
-  ignore
-    (Engine.schedule_at_l engine ~at:(Time.add t0 profile.sample_every)
-       ~label:k_tick (tick t0));
-  Engine.run ~until:t_end engine;
-  built.Scenarios.stop ();
-  List.map (fun (l, r) -> (l, List.rev !r)) samples
-
-(* ------------------------------------------------------------------ *)
-(* Injected capability faults                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* [ci_arm victim] makes the victim cVM's next supervised entry raise a
-   capability fault (through the scenario's [app_hook], i.e. inside the
-   compartment). The supervisor's transition hook closes the ledger:
-   Restarting->Running resolves the open injections as recovered with
-   the trap-to-recovery time; Dead attributes them to the supervisor's
-   permanent-quarantine verdict. *)
-type cap_injector = {
-  ci_hook : Capvm.Cvm.t -> unit;
-  ci_arm : string -> unit;
-  ci_on_transition : cvm:string -> old_state:Sup.state -> Sup.state -> unit;
-  ci_set_engine : Engine.t -> unit;
-}
-
-let cap_injector ch =
-  let engine_ref = ref None in
-  let due : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let open_faults : (string, (int * float) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let now_ns () =
-    match !engine_ref with
-    | Some e -> Time.to_float_ns (Engine.now e)
-    | None -> 0.
-  in
-  let hook cvm =
-    let name = Capvm.Cvm.name cvm in
-    if Hashtbl.mem due name then begin
-      Hashtbl.remove due name;
-      let at_ns = now_ns () in
-      let id = Ch.inject ch Ch.Cap_fault ~at_ns ~target:name in
-      let r =
-        match Hashtbl.find_opt open_faults name with
-        | Some r -> r
-        | None ->
-          let r = ref [] in
-          Hashtbl.replace open_faults name r;
-          r
-      in
-      r := (id, at_ns) :: !r;
-      Cheri.Fault.raise_fault Cheri.Fault.Tag_violation ~address:0
-        ~detail:"chaos: injected capability fault"
-    end
-  in
-  let resolve name f =
-    match Hashtbl.find_opt open_faults name with
-    | Some r ->
-      List.iter f !r;
-      r := []
-    | None -> ()
-  in
-  let on_transition ~cvm ~old_state st =
-    match (old_state, st) with
-    | Sup.Restarting, Sup.Running ->
-      let now = now_ns () in
-      resolve cvm (fun (id, at) ->
-          Ch.resolve_recovered ch id ~ttr_ns:(now -. at))
-    | _, Sup.Dead ->
-      resolve cvm (fun (id, _) ->
-          Ch.resolve_attributed ch id ~stage:"supervisor" ~reason:"quarantined")
-    | _ -> ()
-  in
-  {
-    ci_hook = hook;
-    ci_arm = (fun name -> Hashtbl.replace due name ());
-    ci_on_transition = on_transition;
-    ci_set_engine = (fun e -> engine_ref := Some e);
-  }
-
-let get_sup sup_ref =
-  match !sup_ref with
-  | Some s -> s
-  | None -> invalid_arg "chaos: builder did not instantiate the supervisor"
-
-let frac profile f =
-  Time.add profile.warmup
-    (Time.of_float_ns (f *. Time.to_float_ns profile.duration))
+let window p =
+  { Blast.warmup = p.warmup; duration = p.duration; sample_every = p.sample_every }
 
 (* Did the victim still move bytes in the last few sample windows?
    (End-to-end health check gating the bulk dup/reorder resolution.) *)
@@ -230,31 +74,25 @@ let tail_healthy samples label =
 (* ------------------------------------------------------------------ *)
 
 let phase_a ch profile ~seed ~blackbox_dir =
+  let w = window profile in
   let topo_seed = Int64.add seed 1L in
   let direction = Scenarios.Dut_receives in
   let victim = "cVM1" and sibling = "cVM2" in
   (* Undisturbed twin: same topology seeds, chaos idle. *)
-  let ub = Scenarios.build_dual_port ~seed:topo_seed ~direction () in
   let ref_samples =
-    drive ub profile ~after_warmup:(fun () -> ()) ~on_tick:(fun ~now_ns:_ _ -> ())
+    Blast.reference ~component w
+      (Scenarios.build_dual_port ~seed:topo_seed ~direction ())
   in
-  Ft.clear Ft.default;
-  let ci = cap_injector ch in
-  let sup_ref = ref None in
-  let supervise engine =
-    let sup = Sup.create engine ~seed:(Int64.add seed 101L) () in
-    sup_ref := Some sup;
-    sup
+  let ci =
+    Blast.cap_injector ~component ?blackbox_dir ch ~detail (fun engine ->
+        Sup.create engine ~seed:(Int64.add seed 101L) ())
   in
   let built =
-    Scenarios.build_dual_port ~seed:topo_seed ~supervise ~app_hook:ci.ci_hook
-      ~direction ()
+    Scenarios.build_dual_port ~seed:topo_seed ~supervise:ci.Blast.ci_supervise
+      ~app_hook:ci.Blast.ci_hook ~direction ()
   in
   let engine = built.Scenarios.engine in
-  ci.ci_set_engine engine;
-  let sup = get_sup sup_ref in
-  Sup.set_on_transition sup (Some ci.ci_on_transition);
-  Sup.set_blackbox_dir sup blackbox_dir;
+  let sup = ci.Blast.ci_sup () in
   (* Wire chaos on the victim's link only; port 1 is the control. *)
   let link0 = List.hd built.Scenarios.links in
   Nic.Link.set_tamper link0
@@ -284,7 +122,7 @@ let phase_a ch profile ~seed ~blackbox_dir =
   let pool = (List.hd built.Scenarios.dut_netifs).Topology.pool in
   let stolen = ref [] in
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.30) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.30) ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          flap := Some (Ch.inject ch Ch.Link_flap ~at_ns ~target:"link0", at_ns);
          Nic.Link.set_up link0 false;
@@ -292,7 +130,7 @@ let phase_a ch profile ~seed ~blackbox_dir =
            (Engine.schedule_l engine ~delay:profile.flap_down ~label:k_inject (fun () ->
                 Nic.Link.set_up link0 true))));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.55) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.55) ~label:k_inject (fun () ->
          let at_ns = Time.to_float_ns (Engine.now engine) in
          let id =
            Ch.inject ch Ch.Mbuf_exhaust ~at_ns
@@ -313,21 +151,18 @@ let phase_a ch profile ~seed ~blackbox_dir =
                 (* Only now can the watcher call it recovered. *)
                 mbuf := Some (id, at_ns)))));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.18) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.18) ~label:k_inject (fun () ->
+         ci.Blast.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.45) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.45) ~label:k_inject (fun () ->
+         ci.Blast.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.80) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.80) ~label:k_inject (fun () ->
          Ch.set_armed ch false));
   (* Flap and exhaustion count as recovered when the victim moves
      application bytes again after the outage ends. *)
   let on_tick ~now_ns deltas =
-    let vdelta =
-      match List.assoc_opt victim deltas with Some d -> d | None -> 0
-    in
-    if vdelta > 0 then begin
+    if Option.value ~default:0 (List.assoc_opt victim deltas) > 0 then begin
       (match !flap with
       | Some (id, at) when Nic.Link.up link0 ->
         Ch.resolve_recovered ch id ~ttr_ns:(now_ns -. at);
@@ -341,7 +176,9 @@ let phase_a ch profile ~seed ~blackbox_dir =
     end
   in
   let samples =
-    drive built profile ~after_warmup:(fun () -> Ch.set_armed ch true) ~on_tick
+    Blast.drive ~component w
+      ~after_warmup:(fun () -> Ch.set_armed ch true)
+      ~on_tick built
   in
   Ch.set_armed ch false;
   Nic.Igb.set_rx_fault p0 None;
@@ -356,7 +193,13 @@ let phase_a ch profile ~seed ~blackbox_dir =
   ignore
     (Ch.reconcile_attributed ch Ch.Wire_bit_flip ~observed:crc_observed
        ~stage:"rx_dma" ~reason:"fcs_error");
-  let drops = Ft.drop_table Ft.default in
+  let phase =
+    Blast.phase
+      ~title:"phase A: scenario 1 dual-port, wire+NIC+cVM chaos on port 0"
+      ~victim ~sibling
+      (Sup.quarantine_windows sup ~cvm:(List.hd built.Scenarios.app_cvms))
+      ~ref_samples samples
+  in
   let csum_observed =
     List.fold_left
       (fun acc ((_, r), n) ->
@@ -368,7 +211,7 @@ let phase_a ch profile ~seed ~blackbox_dir =
         | Ft.Frag_unsupported ->
           acc + n
         | _ -> acc)
-      0 drops
+      0 phase.Blast.drops
   in
   ignore
     (Ch.reconcile_attributed ch Ch.Dma_bit_flip ~observed:csum_observed
@@ -380,26 +223,14 @@ let phase_a ch profile ~seed ~blackbox_dir =
     ignore
       (Ch.resolve_pending ch Ch.Frame_reorder (Ch.Recovered { ttr_ns = 0. }))
   end;
-  let windows =
-    Sup.quarantine_windows sup ~cvm:(List.hd built.Scenarios.app_cvms)
-  in
-  let rate l ss = rate_outside (List.assoc l ss) windows in
-  {
-    ph_title = "phase A: scenario 1 dual-port, wire+NIC+cVM chaos on port 0";
-    ph_victim = victim;
-    ph_sibling = sibling;
-    ph_drops = drops;
-    ph_sibling_rate = rate sibling samples;
-    ph_sibling_ref = rate sibling ref_samples;
-    ph_victim_rate = rate victim samples;
-    ph_victim_ref = rate victim ref_samples;
-  }
+  phase
 
 (* ------------------------------------------------------------------ *)
 (* Phase B: Scenario 2 contended, victim cVM3                          *)
 (* ------------------------------------------------------------------ *)
 
 let phase_b ch profile ~seed ~blackbox_dir =
+  let w = window profile in
   let topo_seed = Int64.add seed 2L in
   let direction = Scenarios.Dut_sends in
   let victim = "cVM3" and sibling = "cVM2" in
@@ -411,33 +242,19 @@ let phase_b ch profile ~seed ~blackbox_dir =
     Scenarios.build_scenario2 ~seed:topo_seed ~contended:true
       ~lock_policy:Capvm.Umtx.Fifo ?supervise ?app_hook ~direction ()
   in
-  let ub = build () in
-  let ref_samples =
-    drive ub profile ~after_warmup:(fun () -> ()) ~on_tick:(fun ~now_ns:_ _ -> ())
+  let ref_samples = Blast.reference ~component w (build ()) in
+  (* Budget 1: the first fault restarts cVM3, the second permanently
+     quarantines it — both paths must leave the shared mutex free. *)
+  let ci =
+    Blast.cap_injector ~component ?blackbox_dir ch ~detail (fun engine ->
+        Sup.create engine ~seed:(Int64.add seed 102L) ~policy:Blast.restart_once
+          ())
   in
-  Ft.clear Ft.default;
-  let ci = cap_injector ch in
-  let sup_ref = ref None in
-  let supervise engine =
-    (* Budget 1: the first fault restarts cVM3, the second permanently
-       quarantines it — both paths must leave the shared mutex free. *)
-    let sup =
-      Sup.create engine ~seed:(Int64.add seed 102L)
-        ~policy:
-          (Sup.Restart
-             { budget = 1; backoff_base = Time.us 50; backoff_max = Time.ms 2;
-               jitter_pct = 0.1 })
-        ()
-    in
-    sup_ref := Some sup;
-    sup
+  let built =
+    build ~supervise:ci.Blast.ci_supervise ~app_hook:ci.Blast.ci_hook ()
   in
-  let built = build ~supervise ~app_hook:ci.ci_hook () in
   let engine = built.Scenarios.engine in
-  ci.ci_set_engine engine;
-  let sup = get_sup sup_ref in
-  Sup.set_on_transition sup (Some ci.ci_on_transition);
-  Sup.set_blackbox_dir sup blackbox_dir;
+  let sup = ci.Blast.ci_sup () in
   let victim_cvm = List.nth built.Scenarios.app_cvms 1 in
   (* Transient-EINTR chaos through the victim's libc: a heartbeat
      syscall stream whose attempts fail with probability 0.25 while
@@ -476,35 +293,26 @@ let phase_b ch profile ~seed ~blackbox_dir =
   in
   ignore (Engine.schedule_at_l engine ~at:profile.warmup ~label:k_heartbeat heartbeat);
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.25) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.25) ~label:k_inject (fun () ->
+         ci.Blast.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.60) ~label:k_inject (fun () ->
-         ci.ci_arm victim));
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.60) ~label:k_inject (fun () ->
+         ci.Blast.ci_arm victim));
   ignore
-    (Engine.schedule_at_l engine ~at:(frac profile 0.80) ~label:k_inject (fun () ->
+    (Engine.schedule_at_l engine ~at:(Blast.frac w 0.80) ~label:k_inject (fun () ->
          Ch.set_armed ch false));
   let samples =
-    drive built profile
+    Blast.drive ~component w
       ~after_warmup:(fun () -> Ch.set_armed ch true)
-      ~on_tick:(fun ~now_ns:_ _ -> ())
+      built
   in
   Ch.set_armed ch false;
   Capvm.Musl_shim.set_transient shim None;
-  let drops = Ft.drop_table Ft.default in
-  let windows = Sup.quarantine_windows sup ~cvm:victim_cvm in
-  let rate l ss = rate_outside (List.assoc l ss) windows in
-  {
-    ph_title =
-      "phase B: scenario 2 contended, cap faults under the shared mutex";
-    ph_victim = victim;
-    ph_sibling = sibling;
-    ph_drops = drops;
-    ph_sibling_rate = rate sibling samples;
-    ph_sibling_ref = rate sibling ref_samples;
-    ph_victim_rate = rate victim samples;
-    ph_victim_ref = rate victim ref_samples;
-  }
+  Blast.phase
+    ~title:"phase B: scenario 2 contended, cap faults under the shared mutex"
+    ~victim ~sibling
+    (Sup.quarantine_windows sup ~cvm:victim_cvm)
+    ~ref_samples samples
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -526,42 +334,13 @@ let ttr_line b ch kind =
       (fmt_ns (nth (n / 2)))
       (fmt_ns (nth (n - 1)))
 
-let ratio rate ref_ = if ref_ <= 0. then 1. else rate /. ref_
-
-let sibling_ok p = ratio p.ph_sibling_rate p.ph_sibling_ref >= 0.9
-
-let phase_section b p =
-  Printf.bprintf b "-- %s --\n" p.ph_title;
-  if p.ph_drops = [] then Printf.bprintf b "  drop table: (empty)\n"
-  else begin
-    Printf.bprintf b "  drop table (stage/reason -> frames):\n";
-    List.iter
-      (fun ((st, r), n) ->
-        Printf.bprintf b "    %-10s %-16s %6d\n" (Ft.stage_name st)
-          (Ft.reason_name r) n)
-      p.ph_drops
-  end;
-  Printf.bprintf b
-    "  sibling %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f) [%s]\n"
-    p.ph_sibling p.ph_sibling_rate p.ph_sibling_ref
-    (ratio p.ph_sibling_rate p.ph_sibling_ref)
-    (if sibling_ok p then "ok" else "FAIL");
-  Printf.bprintf b
-    "  victim  %-5s goodput outside quarantine: %.3f Gbit/s vs %.3f \
-     undisturbed (ratio %.3f)\n"
-    p.ph_victim p.ph_victim_rate p.ph_victim_ref
-    (ratio p.ph_victim_rate p.ph_victim_ref)
-
 let run ?(profile = quick) ?blackbox_dir ~seed () =
-  let ft_was = Ft.enabled Ft.default in
-  Ft.set_enabled Ft.default true;
-  Ft.clear Ft.default;
   let ch = Ch.create ~seed in
-  let pa = phase_a ch profile ~seed ~blackbox_dir in
-  let pb = phase_b ch profile ~seed ~blackbox_dir in
-  Ft.clear Ft.default;
-  Ft.set_enabled Ft.default ft_was;
+  let pa, pb =
+    Ft.with_recording Ft.default (fun () ->
+        let pa = phase_a ch profile ~seed ~blackbox_dir in
+        (pa, phase_b ch profile ~seed ~blackbox_dir))
+  in
   let counts = Ch.counts ch in
   let injected, recovered, attributed, pending =
     List.fold_left
@@ -573,7 +352,7 @@ let run ?(profile = quick) ?blackbox_dir ~seed () =
       (0, 0, 0, 0) counts
   in
   let phases = [ pa; pb ] in
-  let pass = pending = 0 && injected > 0 && List.for_all sibling_ok phases in
+  let pass = pending = 0 && injected > 0 && List.for_all Blast.sibling_ok phases in
   let b = Buffer.create 4096 in
   Printf.bprintf b "=== chaos blast-radius report (seed %Ld) ===\n" seed;
   Printf.bprintf b "-- fault ledger --\n";
@@ -586,7 +365,7 @@ let run ?(profile = quick) ?blackbox_dir ~seed () =
     counts;
   Printf.bprintf b "-- time to recovery --\n";
   List.iter (ttr_line b ch) Ch.all_kinds;
-  List.iter (phase_section b) phases;
+  List.iter (Blast.section b) phases;
   Printf.bprintf b "fault attribution: %.1f%% (%d/%d)\n"
     (if injected = 0 then 0.
      else 100. *. float_of_int (recovered + attributed) /. float_of_int injected)

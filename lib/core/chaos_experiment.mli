@@ -20,8 +20,9 @@
     end the run [Recovered] (TTR recorded) or [Attributed] (to a typed
     {!Dsim.Flowtrace} drop, a hardware counter, or a supervisor
     verdict). The report fails on any pending entry, on attribution
-    below 100%, or on sibling goodput (outside the victim's quarantine
-    windows) below 90% of the undisturbed twin.
+    below 100%, or on the {!Blast} sibling gate: sibling goodput
+    (outside the victim's quarantine windows) below 90% of the
+    undisturbed twin.
 
     All randomness comes from the one seed; two runs with the same seed
     and profile produce byte-identical reports. *)
@@ -40,17 +41,7 @@ val quick : profile
 
 val full : profile
 
-type phase = {
-  ph_title : string;
-  ph_victim : string;
-  ph_sibling : string;
-  ph_drops : ((Dsim.Flowtrace.stage * Dsim.Flowtrace.reason) * int) list;
-      (** The phase's typed drop table (attribution evidence). *)
-  ph_sibling_rate : float;  (** Gbit/s outside quarantine windows. *)
-  ph_sibling_ref : float;  (** Undisturbed twin, same windows. *)
-  ph_victim_rate : float;
-  ph_victim_ref : float;
-}
+type phase = Blast.phase
 
 type report = {
   seed : int64;

@@ -789,8 +789,6 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
   if tenants < 1 then invalid_arg "fleet: tenants must be >= 1";
   if tenants > 1000 then invalid_arg "fleet: tenants must be <= 1000";
   let ft = Dsim.Flowtrace.default in
-  let was_enabled = Dsim.Flowtrace.enabled ft in
-  let old_sample = Dsim.Flowtrace.sample_every ft in
   let f = build ~profile ~tenants ~seed in
   let engine = f.f_engine in
   (* Warmup: resolve ARP both ways before the first SYN, so the opening
@@ -798,27 +796,22 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
   Netstack.Stack.ping f.f_dnif.Topology.stack
     ~ip:(Scenarios.ip_peer 0) ~ident:1 ~seq:1 ~payload:(Bytes.create 8);
   Dsim.Engine.run engine ~until:profile.p_warmup;
-  Dsim.Flowtrace.clear ft;
-  Dsim.Flowtrace.set_sample_every ft profile.p_sample_every;
-  Dsim.Flowtrace.set_enabled ft true;
-  let t0 = Dsim.Engine.now engine in
-  let t_end = Dsim.Time.add t0 profile.p_duration in
-  Dsim.Engine.run engine ~until:t_end;
-  f.f_running := false;
-  Netstack.Stack.stop f.f_pnif.Topology.stack;
-  let duration_ns = Dsim.Time.to_float_ns profile.p_duration in
-  (* Fold the collected streams into the observatory. *)
   let iv = Topology.intravisor f.f_dut in
-  Array.iter
-    (fun tn ->
-      Dsim.Tenancy.note_packets f.f_obs ~tenant:tn.tn_name tn.tn_tx_frames;
-      Dsim.Tenancy.note_crossings f.f_obs ~tenant:tn.tn_name
-        (Capvm.Intravisor.crossings_from iv ~caller:tn.tn_name))
-    f.f_tenants;
-  Dsim.Tenancy.ingest f.f_obs ~tenant_of:(tenant_of_label ~tenants) ft;
-  Dsim.Flowtrace.set_enabled ft was_enabled;
-  Dsim.Flowtrace.set_sample_every ft old_sample;
-  Dsim.Flowtrace.clear ft;
+  Dsim.Flowtrace.with_recording ~sample_every:profile.p_sample_every ft
+    (fun () ->
+      let t0 = Dsim.Engine.now engine in
+      Dsim.Engine.run engine ~until:(Dsim.Time.add t0 profile.p_duration);
+      f.f_running := false;
+      Netstack.Stack.stop f.f_pnif.Topology.stack;
+      (* Fold the collected streams into the observatory. *)
+      Array.iter
+        (fun tn ->
+          Dsim.Tenancy.note_packets f.f_obs ~tenant:tn.tn_name tn.tn_tx_frames;
+          Dsim.Tenancy.note_crossings f.f_obs ~tenant:tn.tn_name
+            (Capvm.Intravisor.crossings_from iv ~caller:tn.tn_name))
+        f.f_tenants;
+      Dsim.Tenancy.ingest f.f_obs ~tenant_of:(tenant_of_label ~tenants) ft);
+  let duration_ns = Dsim.Time.to_float_ns profile.p_duration in
   let rollups = Dsim.Tenancy.rollup f.f_obs ~duration_ns in
   let flows = Array.fold_left (fun a tn -> a + tn.tn_flows) 0 f.f_tenants in
   let failed = Array.fold_left (fun a tn -> a + tn.tn_failed) 0 f.f_tenants in

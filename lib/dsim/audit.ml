@@ -116,6 +116,18 @@ let clear t =
   t.violations_rev <- [];
   t.sample_tick <- 0
 
+let with_recording ?sample_every t f =
+  let was_enabled = t.enabled and was_sample = t.sample_every in
+  Option.iter (set_sample_every t) sample_every;
+  t.enabled <- true;
+  clear t;
+  Fun.protect
+    ~finally:(fun () ->
+      t.enabled <- was_enabled;
+      set_sample_every t was_sample;
+      clear t)
+    f
+
 let tick_sample t =
   t.enabled
   && begin

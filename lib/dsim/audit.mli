@@ -82,6 +82,12 @@ val set_strict : t -> bool -> unit
 val sample_every : t -> int
 val set_sample_every : t -> int -> unit
 
+val with_recording : ?sample_every:int -> t -> (unit -> 'a) -> 'a
+(** [with_recording t f] runs [f] with the ledger enabled (sampling 1 in
+    [sample_every], if given) and cleared, then restores the previous
+    enabled flag and sampling period and clears it again — also when
+    [f] raises. *)
+
 val tick_sample : t -> bool
 (** Deterministic counter-based 1-in-N decision for exercise checks —
     no RNG, so audit runs stay bit-identical per seed. Returns [false]

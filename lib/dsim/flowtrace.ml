@@ -174,6 +174,18 @@ let clear t =
   Hashtbl.reset t.drops;
   t.drop_order <- []
 
+let with_recording ?sample_every t f =
+  let was_on = t.on and was_every = t.every in
+  Option.iter (set_sample_every t) sample_every;
+  t.on <- true;
+  clear t;
+  Fun.protect
+    ~finally:(fun () ->
+      t.on <- was_on;
+      t.every <- was_every;
+      clear t)
+    f
+
 let origin_ns t ~at_ns ~flow ?parent stage =
   if not t.on then None
   else begin

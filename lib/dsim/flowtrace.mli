@@ -118,6 +118,12 @@ val set_sample_every : t -> int -> unit
 val clear : t -> unit
 (** Forget traces, drop table and counters; keeps enabled/sampling. *)
 
+val with_recording : ?sample_every:int -> t -> (unit -> 'a) -> 'a
+(** [with_recording t f] runs [f] with [t] enabled (sampling 1 in
+    [sample_every], if given) and cleared, then restores the previous
+    enabled flag and sampling period and clears [t] again — also when
+    [f] raises. *)
+
 (** {1 Recording (hot path)} *)
 
 val origin :

@@ -248,6 +248,35 @@ let counters_mirrored_into_metrics () =
 (* Published figures unchanged with the audit on                       *)
 (* ------------------------------------------------------------------ *)
 
+exception Boom
+
+let with_recording_restores_on_raise () =
+  let au = Au.default and ft = Dsim.Flowtrace.default in
+  let au_was = Au.enabled au and au_sample = Au.sample_every au in
+  let ft_was = Dsim.Flowtrace.enabled ft
+  and ft_sample = Dsim.Flowtrace.sample_every ft in
+  (match
+     Dsim.Flowtrace.with_recording ~sample_every:(ft_sample + 3) ft (fun () ->
+         Au.with_recording ~sample_every:(au_sample + 5) au (fun () ->
+             Alcotest.(check bool) "audit on inside" true (Au.enabled au);
+             Alcotest.(check int) "audit sampling inside" (au_sample + 5)
+               (Au.sample_every au);
+             Alcotest.(check bool) "flowtrace on inside" true
+               (Dsim.Flowtrace.enabled ft);
+             Alcotest.(check int) "flowtrace sampling inside" (ft_sample + 3)
+               (Dsim.Flowtrace.sample_every ft);
+             raise Boom))
+   with
+  | () -> Alcotest.fail "callback did not raise"
+  | exception Boom -> ());
+  Alcotest.(check bool) "audit enabled restored" au_was (Au.enabled au);
+  Alcotest.(check int) "audit sampling restored" au_sample
+    (Au.sample_every au);
+  Alcotest.(check bool) "flowtrace enabled restored" ft_was
+    (Dsim.Flowtrace.enabled ft);
+  Alcotest.(check int) "flowtrace sampling restored" ft_sample
+    (Dsim.Flowtrace.sample_every ft)
+
 let float_exact = Alcotest.testable Fmt.float (fun a b -> a = b)
 
 (* Same goldens as test_zero_copy, but with the ledger enabled: the
@@ -321,6 +350,8 @@ let report_deterministic_and_passing () =
 let suite =
   [
     Alcotest.test_case "dag: mint/derive/grant shape" `Quick dag_shape;
+    Alcotest.test_case "with_recording restores audit + flowtrace on raise"
+      `Quick with_recording_restores_on_raise;
     Alcotest.test_case "invariant: widening detected" `Quick widening_detected;
     Alcotest.test_case "invariant: revoked-parent dereference" `Quick
       revoked_parent_detected;

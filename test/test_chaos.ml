@@ -375,6 +375,65 @@ let idle_chaos_bit_identical () =
         plain)
 
 (* ------------------------------------------------------------------ *)
+(* The blast-radius harness                                            *)
+
+let us n = Dsim.Time.us n
+
+(* Samples are (t0_ns, t1_ns, bytes); windows are (trap, recovery). *)
+let overlaps_open_window () =
+  let never_recovered = [ (us 10, None) ] in
+  Alcotest.(check bool) "sample after an open window's start" true
+    (Core.Blast.overlaps (20_000., 21_000.) never_recovered);
+  Alcotest.(check bool) "sample straddling the start" true
+    (Core.Blast.overlaps (9_000., 11_000.) never_recovered);
+  Alcotest.(check bool) "sample before the start" false
+    (Core.Blast.overlaps (1_000., 2_000.) never_recovered)
+
+let overlaps_half_open () =
+  let w = [ (us 10, Some (us 20)) ] in
+  Alcotest.(check bool) "sample ending exactly at the window start" false
+    (Core.Blast.overlaps (9_000., 10_000.) w);
+  Alcotest.(check bool) "sample starting exactly at the window end" false
+    (Core.Blast.overlaps (20_000., 21_000.) w);
+  Alcotest.(check bool) "sample inside" true
+    (Core.Blast.overlaps (12_000., 13_000.) w);
+  (* 1000 bytes over 1000 ns = 8 Gbit/s; the quarantined sample is out. *)
+  Alcotest.(check (float 1e-9)) "rate outside the window" 8.
+    (Core.Blast.rate_outside
+       [ (9_000., 10_000., 1000); (12_000., 13_000., 5000) ]
+       w)
+
+let blast_phase ~sibling_rate ~sibling_ref =
+  {
+    Core.Blast.title = "t";
+    victim = "cVM1";
+    sibling = "cVM2";
+    drops = [];
+    sibling_rate;
+    sibling_ref;
+    victim_rate = 0.;
+    victim_ref = 0.;
+  }
+
+let gate_fails_without_evidence () =
+  let quarantined = [ (Dsim.Time.zero, None) ] in
+  let samples = [ (0., 1_000., 1000); (1_000., 2_000., 1000) ] in
+  let ref_ = Core.Blast.rate_outside samples quarantined in
+  Alcotest.(check (float 0.)) "every sample quarantined: ref = 0" 0. ref_;
+  let p = blast_phase ~sibling_rate:0. ~sibling_ref:ref_ in
+  Alcotest.(check bool) "gate FAILs on no evidence" false
+    (Core.Blast.sibling_ok p);
+  let b = Buffer.create 256 in
+  Core.Blast.section b p;
+  Alcotest.(check bool) "cause printed" true
+    (Astring_contains.contains (Buffer.contents b)
+       "[FAIL: twin moved no bytes outside quarantine]");
+  Alcotest.(check bool) "0.9x holds" true
+    (Core.Blast.sibling_ok (blast_phase ~sibling_rate:0.9 ~sibling_ref:1.));
+  Alcotest.(check bool) "below 0.9x fails" false
+    (Core.Blast.sibling_ok (blast_phase ~sibling_rate:0.89 ~sibling_ref:1.))
+
+(* ------------------------------------------------------------------ *)
 (* The blast-radius experiment end to end                              *)
 
 let blast_radius_quick () =
@@ -414,6 +473,12 @@ let suite =
       arp_negative_cache;
     Alcotest.test_case "idle chaos leaves goldens bit-identical" `Slow
       idle_chaos_bit_identical;
+    Alcotest.test_case "blast harness: open-ended quarantine window" `Quick
+      overlaps_open_window;
+    Alcotest.test_case "blast harness: half-open sample/window bounds" `Quick
+      overlaps_half_open;
+    Alcotest.test_case "blast harness: sibling gate fails on no evidence"
+      `Quick gate_fails_without_evidence;
     Alcotest.test_case "blast radius: deterministic, fully attributed" `Slow
       blast_radius_quick;
   ]

@@ -72,7 +72,7 @@ let close_race_releases_mutex () =
   List.iter
     (fun p ->
       Alcotest.(check bool)
-        ("mutex free after " ^ p.Core.Attack_traffic.ap_title)
+        ("mutex free after " ^ p.Core.Attack_traffic.blast.Core.Blast.title)
         true p.Core.Attack_traffic.ap_mutex_free)
     r.Core.Attack_traffic.phases
 
@@ -81,7 +81,7 @@ let exhaustion_is_typed_backpressure () =
   List.iter
     (fun p ->
       Alcotest.(check bool)
-        ("pool recovered after " ^ p.Core.Attack_traffic.ap_title)
+        ("pool recovered after " ^ p.Core.Attack_traffic.blast.Core.Blast.title)
         true p.Core.Attack_traffic.ap_pool_recovered)
     r.Core.Attack_traffic.phases;
   (* Every resource-class launch (floods + 3x exhaust-and-spray) ended
@@ -97,15 +97,10 @@ let sibling_goodput_gate () =
   let r = Lazy.force report in
   List.iter
     (fun p ->
-      let ratio =
-        if p.Core.Attack_traffic.ap_sibling_ref <= 0. then 1.
-        else
-          p.Core.Attack_traffic.ap_sibling_rate
-          /. p.Core.Attack_traffic.ap_sibling_ref
-      in
+      let b = p.Core.Attack_traffic.blast in
       Alcotest.(check bool)
-        ("sibling >= 0.9x twin in " ^ p.Core.Attack_traffic.ap_title)
-        true (ratio >= 0.9))
+        ("sibling >= 0.9x twin in " ^ b.Core.Blast.title)
+        true (Core.Blast.sibling_ok b))
     r.Core.Attack_traffic.phases
 
 (* ------------------------------------------------------------------ *)
