@@ -132,7 +132,8 @@ shards:
 # Full gate: build, unit/property tests, then five smoke runs —
 # Table II with metrics enabled must expose the cross-layer instrument
 # families in the Prometheus dump, Fig. 5 with flow tracing enabled
-# must produce an analyzable trace covering the measurement stages,
+# must produce an analyzable trace covering the measurement stages
+# and a Chrome trace rendered from it,
 # the seeded chaos run must attribute or recover every injected fault,
 # the capability audit must find zero invariant violations on the
 # stock scenarios and end PASS, the red-team packet corpus and the
@@ -155,7 +156,13 @@ check:
 	  echo "check: $$m present"; \
 	done
 	dune exec bin/netrepro.exe -- fig5 --quick --iterations 500 \
-	  --flow-trace /tmp/netrepro-check.trace.json --sample-every 8 > /dev/null
+	  --flow-trace /tmp/netrepro-check.trace.json --sample-every 8 \
+	  --trace-json /tmp/netrepro-check.chrome.json > /dev/null
+	@for s in traceEvents '"name":"ff_write"'; do \
+	  grep -q "$$s" /tmp/netrepro-check.chrome.json \
+	    || { echo "check: $$s missing from Chrome trace"; exit 1; }; \
+	  echo "check: Chrome trace has $$s"; \
+	done
 	dune exec bin/netrepro.exe -- analyze /tmp/netrepro-check.trace.json \
 	  > /tmp/netrepro-check.analyze.txt
 	@for s in tramp_in umtx_wait ff_write clock_ret wire; do \

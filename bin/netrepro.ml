@@ -47,17 +47,15 @@ type telemetry = {
 (* Telemetry rides along with any experiment run: enable the registries
    up front, dump the requested files when the run completes. The
    registries are process-wide, so a multi-experiment run produces one
-   combined metrics file / trace. *)
+   combined metrics file / trace. --trace-json and --flow-trace are two
+   renderings of the same flow-trace records. *)
 let with_telemetry t f =
   if t.metrics_file <> None then begin
     Dsim.Metrics.set_enabled Dsim.Metrics.default true;
     Dsim.Metrics.reset Dsim.Metrics.default
   end;
-  if t.trace_file <> None then begin
-    Dsim.Span.set_enabled Dsim.Span.default true;
-    Dsim.Span.clear Dsim.Span.default
-  end;
-  if t.flow_trace_file <> None then begin
+  let flow_traced = t.trace_file <> None || t.flow_trace_file <> None in
+  if flow_traced then begin
     Dsim.Flowtrace.set_enabled Dsim.Flowtrace.default true;
     Dsim.Flowtrace.set_sample_every Dsim.Flowtrace.default t.sample_every;
     Dsim.Flowtrace.clear Dsim.Flowtrace.default
@@ -77,12 +75,20 @@ let with_telemetry t f =
         Dsim.Metrics.to_prometheus Dsim.Metrics.default)
   in
   let ok_trace =
-    dump t.trace_file (fun () -> Dsim.Span.to_chrome_json Dsim.Span.default)
+    dump t.trace_file (fun () ->
+        Dsim.Json.to_string
+          (Dsim.Flowtrace.to_chrome_trace Dsim.Flowtrace.default))
   in
   let ok_flow =
     dump t.flow_trace_file (fun () ->
         Dsim.Json.to_string (Dsim.Flowtrace.to_json Dsim.Flowtrace.default))
   in
+  let refused = Dsim.Flowtrace.refused Dsim.Flowtrace.default in
+  if flow_traced && refused > 0 then
+    Printf.eprintf
+      "netrepro: WARNING: flow trace truncated — %d sampled frame(s) refused \
+       past trace capacity; the trace holds a prefix of the run\n"
+      refused;
   let ok_timeseries =
     dump t.timeseries_file (fun () ->
         Dsim.Json.to_string (Dsim.Sampler.to_json Dsim.Sampler.default))
@@ -444,9 +450,10 @@ let trace_opt =
     & opt (some string) None
     & info [ "trace-json" ] ~docv:"FILE"
         ~doc:
-          "Enable span collection and write a Chrome trace_event JSON file \
-           (load it in chrome://tracing or Perfetto) to $(docv) after the \
-           run.")
+          "Enable sampled flow tracing and write the traces as a Chrome \
+           trace_event JSON file (load it in chrome://tracing or Perfetto) \
+           to $(docv) after the run: one track per flow, one event per \
+           stage interval.")
 
 let flow_trace_opt =
   Arg.(
@@ -462,7 +469,9 @@ let sample_every_opt =
   Arg.(
     value & opt int 64
     & info [ "sample-every" ] ~docv:"N"
-        ~doc:"Trace 1 frame in $(docv) (with --flow-trace; default 64).")
+        ~doc:
+          "Trace 1 frame, and 1 measured iteration of each path, in \
+           $(docv) (with --flow-trace or --trace-json; default 64).")
 
 let timeseries_opt =
   Arg.(

@@ -144,24 +144,27 @@ let trace_intervals tr =
     in
     List.rev out
 
-let stage_durations t =
-  let tbl = Hashtbl.create 24 in
+(* The intervals of [traces], one sample buffer per stage. *)
+let intervals_by_stage traces =
+  let tbl = Hashtbl.create 8 in
   List.iter
     (fun tr ->
       List.iter
         (fun (stage, d) ->
           match Hashtbl.find_opt tbl stage with
-          | Some l -> l := d :: !l
-          | None -> Hashtbl.replace tbl stage (ref [ d ]))
+          | Some buf -> Dsim.Stats.add buf d
+          | None ->
+            let buf = Dsim.Stats.create () in
+            Dsim.Stats.add buf d;
+            Hashtbl.replace tbl stage buf)
         (trace_intervals tr))
-    t.traces;
-  Hashtbl.fold (fun stage l acc -> (stage, List.rev !l) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare (stage_rank a) (stage_rank b))
+    traces;
+  tbl
 
-let percentile_of_list l p =
-  let s = Dsim.Stats.create ~capacity:(max 1 (List.length l)) () in
-  List.iter (Dsim.Stats.add s) l;
-  Dsim.Stats.percentile s p
+let stage_durations t =
+  Hashtbl.fold (fun stage buf acc -> (stage, buf) :: acc)
+    (intervals_by_stage t.traces) []
+  |> List.sort (fun (a, _) (b, _) -> compare (stage_rank a) (stage_rank b))
 
 type group = {
   g_flow : string;
@@ -186,36 +189,25 @@ let groups t =
   |> List.map (fun flow ->
          let traces = List.rev !(Hashtbl.find tbl flow) in
          let timed = List.filter (fun tr -> List.length tr.t_hops >= 2) traces in
-         let e2e =
-           List.map
-             (fun tr ->
-               let hops = tr.t_hops in
-               let _, t0 = List.hd hops in
-               let _, tn = List.nth hops (List.length hops - 1) in
-               tn -. t0)
-             timed
-         in
-         let per_stage = Hashtbl.create 8 in
+         let e2e = Dsim.Stats.create () in
          List.iter
            (fun tr ->
-             List.iter
-               (fun (stage, d) ->
-                 match Hashtbl.find_opt per_stage stage with
-                 | Some l -> l := d :: !l
-                 | None -> Hashtbl.replace per_stage stage (ref [ d ]))
-               (trace_intervals tr))
+             let hops = tr.t_hops in
+             let _, t0 = List.hd hops in
+             let _, tn = List.nth hops (List.length hops - 1) in
+             Dsim.Stats.add e2e (tn -. t0))
            timed;
          let stage_sum =
            Hashtbl.fold
-             (fun _ l acc -> acc +. percentile_of_list !l 50.)
-             per_stage 0.
+             (fun _ buf acc -> acc +. Dsim.Stats.median buf)
+             (intervals_by_stage timed) 0.
          in
          {
            g_flow = flow;
            g_traces = List.length traces;
            g_retransmits =
              List.length (List.filter (fun tr -> tr.t_parent <> None) traces);
-           g_e2e_p50 = (if e2e = [] then 0. else percentile_of_list e2e 50.);
+           g_e2e_p50 = Dsim.Stats.percentiles e2e 50.;
            g_stage_sum_p50 = stage_sum;
          })
   |> List.sort (fun a b -> compare b.g_traces a.g_traces)
@@ -248,13 +240,14 @@ let render t =
     let rows =
       List.map
         (fun (stage, ds) ->
+          let pct = Dsim.Stats.percentiles ds in
           [
             stage;
-            string_of_int (List.length ds);
-            ns (percentile_of_list ds 50.);
-            ns (percentile_of_list ds 90.);
-            ns (percentile_of_list ds 99.);
-            ns (percentile_of_list ds 99.9);
+            string_of_int (Dsim.Stats.count ds);
+            ns (pct 50.);
+            ns (pct 90.);
+            ns (pct 99.);
+            ns (pct 99.9);
           ])
         stages
     in

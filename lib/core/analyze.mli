@@ -28,7 +28,7 @@ val of_json : Dsim.Json.t -> (t, string) result
 val of_file : string -> (t, string) result
 (** Reads and parses the file; [Error] carries a human-readable cause. *)
 
-val stage_durations : t -> (string * float list) list
+val stage_durations : t -> (string * Dsim.Stats.t) list
 (** Hop-to-hop intervals grouped by the stage they are attributed to
     (the stage of the hop {e ending} the interval), in pipeline order;
     stages with no samples are omitted. *)

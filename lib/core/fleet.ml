@@ -741,7 +741,6 @@ type result = {
 }
 
 let ms_of_ns ns = ns /. 1.0e6
-let pct_stats s p = if Dsim.Stats.is_empty s then 0. else Dsim.Stats.percentile s p
 
 let fmt_ns ns =
   if ns >= 1.0e6 then Printf.sprintf "%.2fms" (ns /. 1.0e6)
@@ -842,7 +841,8 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
            if tn.tn_arrivals = 0 then 1.
            else float_of_int tn.tn_flows /. float_of_int tn.tn_arrivals))
   in
-  let p999 = pct_stats f.f_fct 99.9 in
+  let fct = Dsim.Stats.percentiles f.f_fct in
+  let p999 = fct 99.9 in
   (* SLO gates. *)
   let dropped = Dsim.Tenancy.dropped_frames f.f_obs in
   let attributed = Dsim.Tenancy.attributed_drops f.f_obs in
@@ -901,9 +901,9 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
     flows failed goodput_mbit f.f_socks_peak;
   Printf.bprintf b
     "  fct p50 %s   p90 %s   p99 %s   p99.9 %s\n"
-    (fmt_ns (pct_stats f.f_fct 50.))
-    (fmt_ns (pct_stats f.f_fct 90.))
-    (fmt_ns (pct_stats f.f_fct 99.))
+    (fmt_ns (fct 50.))
+    (fmt_ns (fct 90.))
+    (fmt_ns (fct 99.))
     (fmt_ns p999);
   Printf.bprintf b
     "  tenant crossings: %d   tenant tx frames: %d   crossings/packet: %.2f\n"
@@ -962,9 +962,9 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
         ("failed_flows", Dsim.Json.Int failed);
         ("bytes", Dsim.Json.Int bytes);
         ("goodput_mbit_s", Dsim.Json.Float goodput_mbit);
-        ("fct_p50_ns", Dsim.Json.Float (pct_stats f.f_fct 50.));
-        ("fct_p90_ns", Dsim.Json.Float (pct_stats f.f_fct 90.));
-        ("fct_p99_ns", Dsim.Json.Float (pct_stats f.f_fct 99.));
+        ("fct_p50_ns", Dsim.Json.Float (fct 50.));
+        ("fct_p90_ns", Dsim.Json.Float (fct 90.));
+        ("fct_p99_ns", Dsim.Json.Float (fct 99.));
         ("fct_p999_ns", Dsim.Json.Float p999);
         ("jain_service", Dsim.Json.Float jain_service);
         ("jain_flows", Dsim.Json.Float jain_flows);
@@ -1014,9 +1014,9 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
     r_failed = failed;
     r_bytes = bytes;
     r_goodput_mbit = goodput_mbit;
-    r_fct_p50_ns = pct_stats f.f_fct 50.;
-    r_fct_p90_ns = pct_stats f.f_fct 90.;
-    r_fct_p99_ns = pct_stats f.f_fct 99.;
+    r_fct_p50_ns = fct 50.;
+    r_fct_p90_ns = fct 90.;
+    r_fct_p99_ns = fct 99.;
     r_fct_p999_ns = p999;
     r_jain_flows = jain_flows;
     r_jain_goodput = jain_goodput;

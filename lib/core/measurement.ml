@@ -53,11 +53,6 @@ let setup_connected ?(seed = 45L) ~mode ~write_size () =
     ~until:(Dsim.Time.add (Dsim.Engine.now engine) (Dsim.Time.ms 100));
   (mt, fd, buf)
 
-(* At most this many iteration spans are recorded per configuration, so
-   paper-grade runs do not swamp the trace with a million identical
-   intervals. *)
-let span_sample_limit = 512
-
 let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100)
     ?(seed = 45L) path =
   let mode =
@@ -72,7 +67,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
       ~labels:[ ("path", label) ]
       ~lo:50. ~ratio:1.3 ~buckets:48 "ff_write_latency_ns"
   in
-  let span_tid = Dsim.Span.track Dsim.Span.default label in
   (* Fig. 4's wall time flows through these handlers: each scheduling
      point in the measured ff_write round trip carries its own stage
      key so the profiler can split the path. *)
@@ -91,9 +85,7 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
   let cm = Topology.node_cost built.Scenarios.dut in
   let rng = Dsim.Rng.create ~seed:(Int64.add seed 0x6d65L) in
   let shim = Capvm.Musl_shim.create iv mt.Scenarios.mt_app_cvm in
-  let stack = mt.Scenarios.mt_stack in
   let ff = mt.Scenarios.mt_ff in
-  let stack_counters = Netstack.Stack.counters stack in
 
   (* Clock read: returns (value_ns, total_cost_ns). The value is taken
      [read_offset] into the call — the remainder is the return path that
@@ -156,8 +148,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
              Dsim.Flowtrace.hop flow Tramp_in ~at:(Dsim.Engine.now engine);
              Capvm.Umtx.acquire mu ~flow ~owner:"cVM2-measured"
                (fun ~wait_ns:_ ->
-                 let tx0 = stack_counters.Netstack.Stack.tx_frames in
-                 ignore tx0;
                  let write_result, _tramp_ns =
                    Capvm.Intravisor.trampoline iv ~into:mt.Scenarios.mt_stack_cvm
                      (fun () -> Netstack.Ff_api.ff_write ff fd ~buf ~nbytes:write_size)
@@ -187,28 +177,17 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
                                  ~at:(Dsim.Engine.now engine);
                                k ())))))))
   in
-  let run_span =
-    Dsim.Span.start Dsim.Span.default
-      ~at:(Dsim.Engine.now engine)
-      ~cat:"measurement" ~tid:span_tid "run"
-  in
   let rec iterate remaining =
     if remaining = 0 then done_flag := true
     else begin
-      let sp =
-        if iterations - remaining < span_sample_limit then
-          Some
-            (Dsim.Span.start Dsim.Span.default
-               ~at:(Dsim.Engine.now engine)
-               ~cat:"ff_write" ~tid:span_tid "iteration")
-        else None
-      in
       let v1, c1 = clock () in
       (* One trace per sampled iteration: its stage intervals telescope
-         to exactly [v2 - v1], the pre-jitter end-to-end sample. *)
+         to exactly [v2 - v1], the pre-jitter end-to-end sample. The
+         iteration number picks the sample, so every path is traced 1 in
+         N whatever TCP traffic the write triggers. *)
       let flow =
-        Dsim.Flowtrace.origin_ns Dsim.Flowtrace.default ~at_ns:v1 ~flow:label
-          App
+        Dsim.Flowtrace.origin_ns Dsim.Flowtrace.default
+          ~seq:(iterations - remaining) ~at_ns:v1 ~flow:label App
       in
       ignore
         (Dsim.Engine.schedule_l engine ~delay:(Dsim.Time.of_float_ns c1)
@@ -218,10 +197,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
                  let v2, c2 = clock () in
                  Dsim.Flowtrace.hop_ns flow Clock_entry ~at_ns:v2;
                  record v1 v2;
-                 Option.iter
-                   (Dsim.Span.finish Dsim.Span.default
-                      ~at:(Dsim.Engine.now engine))
-                   sp;
                  ignore
                    (Dsim.Engine.schedule_l engine
                       ~delay:(Dsim.Time.add interval (Dsim.Time.of_float_ns c2))
@@ -234,7 +209,6 @@ let run ?(iterations = 100_000) ?(write_size = 64) ?(interval = Dsim.Time.us 100
     Dsim.Engine.run engine
       ~until:(Dsim.Time.add (Dsim.Engine.now engine) (Dsim.Time.ms 50))
   done;
-  Dsim.Span.finish Dsim.Span.default ~at:(Dsim.Engine.now engine) run_span;
   built.Scenarios.stop ();
   let filtered = Dsim.Stats.iqr_filter raw in
   {

@@ -131,6 +131,7 @@ type t = {
   mutable tick : int;
   mutable n_origins : int;
   mutable n_sampled : int;
+  mutable n_refused : int;  (* sample hits refused at [capacity] *)
   mutable n_dropped : int;
   mutable next_id : int;
   mutable traces_rev : ctx list;
@@ -147,6 +148,7 @@ let create ?(enabled = false) ?(sample_every = 64) ?(capacity = 65536) () =
     tick = 0;
     n_origins = 0;
     n_sampled = 0;
+    n_refused = 0;
     n_dropped = 0;
     next_id = 1;
     traces_rev = [];
@@ -168,6 +170,7 @@ let clear t =
   t.tick <- 0;
   t.n_origins <- 0;
   t.n_sampled <- 0;
+  t.n_refused <- 0;
   t.n_dropped <- 0;
   t.next_id <- 1;
   t.traces_rev <- [];
@@ -186,32 +189,47 @@ let with_recording ?sample_every t f =
       clear t)
     f
 
-let origin_ns t ~at_ns ~flow ?parent stage =
-  if not t.on then None
+(* Count an origin and, on a sample [hit], open its trace — unless the
+   registry already holds [capacity] traces. *)
+let start t ~hit ~at_ns ~flow ?parent stage =
+  t.n_origins <- t.n_origins + 1;
+  if not hit then None
+  else if t.n_sampled >= t.capacity then begin
+    t.n_refused <- t.n_refused + 1;
+    None
+  end
   else begin
-    t.n_origins <- t.n_origins + 1;
-    let hit = t.tick = 0 in
-    t.tick <- (t.tick + 1) mod t.every;
-    if (not hit) || t.n_sampled >= t.capacity then None
-    else begin
-      let c =
-        {
-          tr_id = t.next_id;
-          tr_parent = parent;
-          tr_flow = flow;
-          tr_hops = [ (stage, at_ns) ];
-          tr_drop = None;
-        }
-      in
-      t.next_id <- t.next_id + 1;
-      t.n_sampled <- t.n_sampled + 1;
-      t.traces_rev <- c :: t.traces_rev;
-      Some c
-    end
+    let c =
+      {
+        tr_id = t.next_id;
+        tr_parent = parent;
+        tr_flow = flow;
+        tr_hops = [ (stage, at_ns) ];
+        tr_drop = None;
+      }
+    in
+    t.next_id <- t.next_id + 1;
+    t.n_sampled <- t.n_sampled + 1;
+    t.traces_rev <- c :: t.traces_rev;
+    Some c
   end
 
+(* Advance the shared 1-in-N counter; true on a sample hit. *)
+let tick t =
+  let hit = t.tick = 0 in
+  t.tick <- (t.tick + 1) mod t.every;
+  hit
+
 let origin t ~at ~flow ?parent stage =
-  origin_ns t ~at_ns:(Time.to_float_ns at) ~flow ?parent stage
+  if not t.on then None
+  else start t ~hit:(tick t) ~at_ns:(Time.to_float_ns at) ~flow ?parent stage
+
+let origin_ns t ~seq ~at_ns ~flow stage =
+  if not t.on then None
+  else begin
+    ignore (tick t);
+    start t ~hit:(seq mod t.every = 0) ~at_ns ~flow stage
+  end
 
 let hop_ns flow stage ~at_ns =
   match flow with
@@ -242,6 +260,7 @@ let dropped_at c = c.tr_drop
 
 let origins t = t.n_origins
 let sampled t = t.n_sampled
+let refused t = t.n_refused
 let dropped_frames t = t.n_dropped
 let traces t = List.rev t.traces_rev
 
@@ -285,12 +304,70 @@ let to_json t =
         ("count", Json.Int n);
       ]
   in
+  (* Present only when the capacity truncated the dump. *)
+  let refused =
+    if t.n_refused > 0 then [ ("refused", Json.Int t.n_refused) ] else []
+  in
   Json.Obj
-    [
-      ("sample_every", Json.Int t.every);
-      ("origins", Json.Int t.n_origins);
-      ("sampled", Json.Int t.n_sampled);
-      ("dropped_frames", Json.Int t.n_dropped);
-      ("traces", Json.List (List.map trace_json (traces t)));
-      ("drops", Json.List (List.map drop_json (drop_table t)));
-    ]
+    ([
+       ("sample_every", Json.Int t.every);
+       ("origins", Json.Int t.n_origins);
+       ("sampled", Json.Int t.n_sampled);
+     ]
+    @ refused
+    @ [
+        ("dropped_frames", Json.Int t.n_dropped);
+        ("traces", Json.List (List.map trace_json (traces t)));
+        ("drops", Json.List (List.map drop_json (drop_table t)));
+      ])
+
+(* Chrome trace_event rendering: one track ("thread") per flow label,
+   one complete ("X") event per hop interval, named by the stage of the
+   hop that ends it — the attribution the analyze pass uses, so a
+   trace's events telescope to its last hop minus its origin. *)
+let to_chrome_trace t =
+  let tids = Hashtbl.create 16 in
+  let tracks = ref [] in
+  let tid_of label =
+    match Hashtbl.find_opt tids label with
+    | Some tid -> tid
+    | None ->
+      let tid = Hashtbl.length tids + 1 in
+      Hashtbl.replace tids label tid;
+      tracks := (tid, label) :: !tracks;
+      tid
+  in
+  let us ns = Json.Float (ns /. 1e3) in
+  let rec intervals c tid = function
+    | (_, from) :: ((st, till) :: _ as rest) ->
+      Json.Obj
+        [
+          ("name", Json.String (stage_name st));
+          ("cat", Json.String "flow");
+          ("ph", Json.String "X");
+          ("pid", Json.Int 1);
+          ("tid", Json.Int tid);
+          ("ts", us from);
+          ("dur", us (till -. from));
+          ("args", Json.Obj [ ("trace", Json.Int c.tr_id) ]);
+        ]
+      :: intervals c tid rest
+    | _ -> []
+  in
+  let events =
+    List.concat_map (fun c -> intervals c (tid_of c.tr_flow) (hops c)) (traces t)
+  in
+  let metadata =
+    List.rev_map
+      (fun (tid, label) ->
+        Json.Obj
+          [
+            ("name", Json.String "thread_name");
+            ("ph", Json.String "M");
+            ("pid", Json.Int 1);
+            ("tid", Json.Int tid);
+            ("args", Json.Obj [ ("name", Json.String label) ]);
+          ])
+      !tracks
+  in
+  Json.Obj [ ("traceEvents", Json.List (metadata @ events)) ]

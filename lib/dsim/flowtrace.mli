@@ -102,7 +102,8 @@ type ctx
 
 val create : ?enabled:bool -> ?sample_every:int -> ?capacity:int -> unit -> t
 (** [capacity] bounds the number of retained traces (default 65536);
-    once full, further origins still count but are not recorded. *)
+    once full, further origins still count but are not recorded, and
+    each sample they would have taken counts as {!refused}. *)
 
 val default : t
 (** Process-wide registry used by the stack layers, disabled until
@@ -135,9 +136,16 @@ val origin :
     links a retransmission to the trace id of the original segment. *)
 
 val origin_ns :
-  t -> at_ns:float -> flow:string -> ?parent:int -> stage -> ctx option
-(** As {!origin} with a raw float nanosecond timestamp (used by the
-    measurement harness, whose stage boundaries are sub-ns exact). *)
+  t -> seq:int -> at_ns:float -> flow:string -> stage -> ctx option
+(** As {!origin}, with a raw float nanosecond timestamp (the measurement
+    harness's stage boundaries are sub-ns exact) and sampled by the
+    caller's own sequence number: [seq] is a hit when it is a multiple
+    of {!sample_every}. A measured path numbers its iterations from 0,
+    so 1 in N of them are traced, evenly spaced, whatever packet traffic
+    shares the registry — on the shared counter alone, the periodic
+    frames each iteration triggers can phase-lock the sample onto the
+    frames and starve the path. The call still advances the shared
+    counter, so the frames around it are sampled as before. *)
 
 val hop : ctx option -> stage -> at:Time.t -> unit
 (** Record a layer crossing; no-op on [None]. Stage latency is defined
@@ -165,6 +173,11 @@ val origins : t -> int
 (** Frames considered for sampling since the last {!clear}. *)
 
 val sampled : t -> int
+
+val refused : t -> int
+(** Sample hits turned away because [capacity] traces were already
+    retained: non-zero means the dump holds a prefix of the run. *)
+
 val dropped_frames : t -> int
 (** Total drops recorded in the attribution table. *)
 
@@ -177,4 +190,13 @@ val drop_table : t -> ((stage * reason) * int) list
 val to_json : t -> Json.t
 (** Self-contained export: counters, every retained trace with its hop
     timeline and drop marker, and the drop-attribution table. Consumed
-    by [netrepro analyze]. *)
+    by [netrepro analyze]. A [refused] count appears only when
+    non-zero. *)
+
+val to_chrome_trace : t -> Json.t
+(** The retained traces as Chrome [trace_event] JSON
+    ([{"traceEvents": [...]}]) for chrome://tracing or Perfetto: one
+    track per flow label (an ["M"] [thread_name] record) and one ["X"]
+    event per hop interval, named by the stage of the hop ending it,
+    timestamps in microseconds. [args.trace] carries the trace id.
+    Written by [netrepro ... --trace-json FILE]. *)

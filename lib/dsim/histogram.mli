@@ -15,6 +15,9 @@ val add : t -> float -> unit
 val add_stats : t -> Stats.t -> t
 (** Fold a sample buffer in; returns the histogram for chaining. *)
 
+val clear : t -> unit
+(** Zero every bucket, keeping the ladder. *)
+
 val count : t -> int
 val bucket_count : t -> int
 

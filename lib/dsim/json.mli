@@ -1,7 +1,8 @@
 (** Minimal JSON tree, emitter and parser.
 
-    The telemetry surface needs JSON in three places: the Chrome
-    [trace_event] export ({!Span.to_chrome_json}), the bench harness's
+    The telemetry surface needs JSON in three places: the flow-trace
+    exports ({!Flowtrace.to_json} and the Chrome [trace_event]
+    rendering {!Flowtrace.to_chrome_trace}), the bench harness's
     machine-readable per-artefact summaries, and the round-trip tests
     that validate both. The container carries no JSON library, so this
     is a small self-contained implementation. *)

@@ -7,15 +7,9 @@ type switch = { mutable on : bool }
 type counter = { c_sw : switch; mutable count : int }
 type gauge = { g_sw : switch; mutable level : int }
 
-type histogram = {
-  h_sw : switch;
-  h_lo : float;
-  h_ratio : float;
-  h_log_ratio : float;
-  h_counts : int array;
-  mutable h_sum : float;
-  mutable h_n : int;
-}
+(* The bucket ladder and its percentile are {!Histogram}'s; Metrics
+   adds only the running sum the exposition's [_sum] line needs. *)
+type histogram = { h_sw : switch; h_hist : Histogram.t; mutable h_sum : float }
 
 type instrument =
   | Counter of counter
@@ -119,15 +113,7 @@ let histogram t ?(help = "") ?(labels = []) ?(lo = 1.) ?(ratio = 2.)
     invalid_arg "Metrics.histogram: need lo > 0, ratio > 1, buckets >= 1";
   let make () =
     Histogram
-      {
-        h_sw = t.sw;
-        h_lo = lo;
-        h_ratio = ratio;
-        h_log_ratio = Float.log ratio;
-        h_counts = Array.make buckets 0;
-        h_sum = 0.;
-        h_n = 0;
-      }
+      { h_sw = t.sw; h_hist = Histogram.create ~lo ~ratio ~buckets (); h_sum = 0. }
   in
   match register t ~name ~labels ~help make with
   | Histogram h -> h
@@ -146,59 +132,19 @@ let set g v = if g.g_sw.on then g.level <- v
 let add g d = if g.g_sw.on then g.level <- g.level + d
 let level g = g.level
 
-let bucket_index h x =
-  if x < h.h_lo then 0
-  else begin
-    let i = int_of_float (Float.floor (Float.log (x /. h.h_lo) /. h.h_log_ratio)) in
-    min i (Array.length h.h_counts - 1)
-  end
-
 let observe h x =
   if h.h_sw.on then begin
-    let i = bucket_index h x in
-    h.h_counts.(i) <- h.h_counts.(i) + 1;
-    h.h_sum <- h.h_sum +. x;
-    h.h_n <- h.h_n + 1
+    Histogram.add h.h_hist x;
+    h.h_sum <- h.h_sum +. x
   end
 
-let observations h = h.h_n
+let observations h = Histogram.count h.h_hist
 let sum h = h.h_sum
+let percentile h p = Histogram.percentile h.h_hist p
 
-(* Upper bound of bucket [i]: lo * ratio^(i+1); the last bucket absorbs
-   everything above the ladder, so its bound reports as infinity. *)
-let bucket_bound h i =
-  if i = Array.length h.h_counts - 1 then Float.infinity
-  else h.h_lo *. (h.h_ratio ** float_of_int (i + 1))
-
-let bucket_lower h i = if i = 0 then 0. else h.h_lo *. (h.h_ratio ** float_of_int i)
-
-let percentile h p =
-  if h.h_n = 0 then 0.
-  else begin
-    let target =
-      Float.max 1. (Float.of_int h.h_n *. Float.min 100. (Float.max 0. p) /. 100.)
-    in
-    let rec walk i cum =
-      if i >= Array.length h.h_counts then bucket_lower h (Array.length h.h_counts - 1)
-      else begin
-        let c = h.h_counts.(i) in
-        if Float.of_int (cum + c) >= target && c > 0 then begin
-          (* Interpolate geometrically inside the bucket. *)
-          let frac = (target -. Float.of_int cum) /. Float.of_int c in
-          let lo = Float.max h.h_lo (bucket_lower h i) in
-          let hi =
-            if i = Array.length h.h_counts - 1 then lo *. h.h_ratio
-            else bucket_bound h i
-          in
-          lo *. ((hi /. lo) ** frac)
-        end
-        else walk (i + 1) (cum + c)
-      end
-    in
-    walk 0 0
-  end
-
-let mean h = if h.h_n = 0 then 0. else h.h_sum /. float_of_int h.h_n
+let mean h =
+  let n = observations h in
+  if n = 0 then 0. else h.h_sum /. float_of_int n
 
 (* ------------------------------------------------------------------ *)
 (* Registry traversal                                                   *)
@@ -212,7 +158,7 @@ type value =
 let value_of = function
   | Counter c -> Counter_value c.count
   | Gauge g -> Gauge_value g.level
-  | Histogram h -> Histogram_value { n = h.h_n; sum = h.h_sum }
+  | Histogram h -> Histogram_value { n = observations h; sum = h.h_sum }
 
 let snapshot t =
   List.rev_map
@@ -245,9 +191,8 @@ let reset t =
       | Counter c -> c.count <- 0
       | Gauge g -> g.level <- 0
       | Histogram h ->
-        Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-        h.h_sum <- 0.;
-        h.h_n <- 0)
+        Histogram.clear h.h_hist;
+        h.h_sum <- 0.)
     t.table
 
 (* ------------------------------------------------------------------ *)
@@ -284,8 +229,6 @@ let prom_labels = function
 let prom_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
-
-let prom_bound f = if f = Float.infinity then "+Inf" else prom_float f
 
 let to_prometheus t =
   let buf = Buffer.create 4096 in
@@ -327,16 +270,21 @@ let to_prometheus t =
             Buffer.add_string buf
               (Printf.sprintf "%s%s %d\n" name (prom_labels s.s_labels) g.level)
           | Histogram h ->
+            let hist = h.h_hist in
+            let last = Histogram.bucket_count hist - 1 in
             let cum = ref 0 in
-            Array.iteri
-              (fun i n ->
-                cum := !cum + n;
-                let labels =
-                  s.s_labels @ [ ("le", prom_bound (bucket_bound h i)) ]
-                in
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_bucket%s %d\n" name (prom_labels labels) !cum))
-              h.h_counts;
+            for i = 0 to last do
+              cum := !cum + Histogram.bucket_value hist i;
+              (* The last bucket absorbs everything above the ladder. *)
+              let le =
+                if i = last then "+Inf"
+                else prom_float (snd (Histogram.bucket_range hist i))
+              in
+              Buffer.add_string buf
+                (Printf.sprintf "%s_bucket%s %d\n" name
+                   (prom_labels (s.s_labels @ [ ("le", le) ]))
+                   !cum)
+            done;
             (* Summary-style quantile lines (incl. p99.9) alongside the
                cumulative buckets, so dashboards need no PromQL
                histogram_quantile step to read tail latency. *)
@@ -351,7 +299,8 @@ let to_prometheus t =
               (Printf.sprintf "%s_sum%s %s\n" name (prom_labels s.s_labels)
                  (prom_float h.h_sum));
             Buffer.add_string buf
-              (Printf.sprintf "%s_count%s %d\n" name (prom_labels s.s_labels) h.h_n))
+              (Printf.sprintf "%s_count%s %d\n" name (prom_labels s.s_labels)
+                 (observations h)))
         group)
     (List.rev !name_order);
   (* Surface cardinality-cap overflow so dropped series are visible in

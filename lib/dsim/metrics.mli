@@ -8,11 +8,10 @@
     and the CLI exposes the registry as Prometheus text via
     [netrepro ... --metrics FILE].
 
-    Updates follow the same discipline as {!Trace.record}: instruments
-    are registered once at construction time (allocation allowed), and
-    the hot-path update ([incr], [set], [observe]) is a single flag
-    check when the registry is disabled — no allocation, so the
-    1M-iteration Fig. 4-6 loops keep their calibrated medians.
+    Instruments are registered once at construction time (allocation
+    allowed), and the hot-path update ([incr], [set], [observe]) is a
+    single flag check when the registry is disabled — no allocation, so
+    the 1M-iteration Fig. 4-6 loops keep their calibrated medians.
 
     A series is identified by its metric name plus its (sorted) label
     set; re-registering the same pair returns the same instrument, so
@@ -75,7 +74,7 @@ val histogram :
   ?buckets:int ->
   string ->
   histogram
-(** Geometric bucket ladder [lo * ratio^i], like {!Histogram}. Defaults:
+(** A {!Histogram} ladder [lo * ratio^i] plus a running sum. Defaults:
     lo = 1.0, ratio = 2.0, 40 buckets (1 ns to ~10^12 ns). The last
     bucket absorbs values beyond the ladder. *)
 
@@ -97,9 +96,8 @@ val sum : histogram -> float
 val mean : histogram -> float
 
 val percentile : histogram -> float -> float
-(** Estimated from the bucket ladder with geometric interpolation:
-    accurate to within one bucket ratio of the exact ({!Stats})
-    percentile. *)
+(** {!Histogram.percentile} of the ladder: accurate to within one
+    bucket ratio of the exact ({!Stats}) percentile. *)
 
 val find_counter : t -> ?labels:labels -> string -> counter option
 val find_gauge : t -> ?labels:labels -> string -> gauge option

@@ -65,6 +65,13 @@ let percentile_of_sorted a p =
   end
 
 let percentile t p = percentile_of_sorted (sorted t) p
+
+let percentiles t =
+  if t.len = 0 then fun _ -> 0.
+  else begin
+    let a = sorted t in
+    fun p -> percentile_of_sorted a p
+  end
 let median t = percentile t 50.
 
 type boxplot = {

@@ -27,6 +27,12 @@ val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0, 100\]], linear interpolation
     between closest ranks. @raise Invalid_argument on an empty buffer. *)
 
+val percentiles : t -> float -> float
+(** [percentiles t] sorts [t] once and returns the lookup
+    [fun p -> percentile t p], so a report reading several percentiles
+    of one buffer pays for one sort. On an empty buffer every
+    percentile is [0.]. *)
+
 val median : t -> float
 
 type boxplot = {

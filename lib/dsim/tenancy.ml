@@ -146,8 +146,6 @@ type rollup = {
   r_drops : (string * string * int) list;
 }
 
-let pct s p = if Stats.is_empty s then 0. else Stats.percentile s p
-
 let rollup t ~duration_ns =
   Hashtbl.fold (fun _ tn acc -> tn :: acc) t.tenants []
   |> List.sort (fun a b -> String.compare a.name b.name)
@@ -158,7 +156,9 @@ let rollup t ~duration_ns =
              (List.map Flowtrace.stage_name Flowtrace.all_stages)
          in
          let stage_p50 =
-           List.map (fun s -> (s, pct (Hashtbl.find tn.stage_int s) 50.)) stage_names
+           List.map
+             (fun s -> (s, Stats.percentiles (Hashtbl.find tn.stage_int s) 50.))
+             stage_names
          in
          let stage_mean_sum =
            List.fold_left
@@ -168,6 +168,7 @@ let rollup t ~duration_ns =
              0. stage_names
            /. float_of_int (max 1 tn.traces)
          in
+         let fct = Stats.percentiles tn.fct in
          {
            r_tenant = tn.name;
            r_flows = tn.flows;
@@ -175,15 +176,15 @@ let rollup t ~duration_ns =
            r_goodput_mbit =
              (if duration_ns <= 0. then 0.
               else float_of_int tn.bytes *. 8000. /. duration_ns);
-           r_fct_p50_ns = pct tn.fct 50.;
-           r_fct_p90_ns = pct tn.fct 90.;
-           r_fct_p99_ns = pct tn.fct 99.;
-           r_fct_p999_ns = pct tn.fct 99.9;
+           r_fct_p50_ns = fct 50.;
+           r_fct_p90_ns = fct 90.;
+           r_fct_p99_ns = fct 99.;
+           r_fct_p999_ns = fct 99.9;
            r_traces = tn.traces;
            r_stage_p50_ns = stage_p50;
            r_stage_mean_sum_ns = stage_mean_sum;
            r_e2e_mean_ns = (if Stats.is_empty tn.e2e then 0. else Stats.mean tn.e2e);
-           r_e2e_p50_ns = pct tn.e2e 50.;
+           r_e2e_p50_ns = Stats.percentiles tn.e2e 50.;
            r_crossings = tn.crossings;
            r_packets = tn.packets;
            r_crossings_per_packet =

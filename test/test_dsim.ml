@@ -267,6 +267,19 @@ let stats_percentile () =
   check_float "median interpolates" 25. (Dsim.Stats.median s);
   check_float "p25" 17.5 (Dsim.Stats.percentile s 25.)
 
+(* One sort answers every percentile exactly as [percentile] does, and
+   an empty buffer reads 0 instead of raising. *)
+let stats_percentiles () =
+  let s = stats_of_list [ 40.; 10.; 30.; 20. ] in
+  let pct = Dsim.Stats.percentiles s in
+  List.iter
+    (fun p ->
+      check_float (Printf.sprintf "p%g" p) (Dsim.Stats.percentile s p) (pct p))
+    [ 0.; 25.; 50.; 90.; 99.9; 100. ];
+  let empty = Dsim.Stats.percentiles (Dsim.Stats.create ()) in
+  check_float "empty p50" 0. (empty 50.);
+  check_float "empty p99.9" 0. (empty 99.9)
+
 let stats_boxplot () =
   let s = stats_of_list (List.init 99 (fun i -> float_of_int (i + 1))) in
   let b = Dsim.Stats.boxplot s in
@@ -303,7 +316,7 @@ let stats_percentile_monotone_prop =
       p25 <= p50 && p50 <= p75)
 
 (* ------------------------------------------------------------------ *)
-(* Cost model / Trace                                                   *)
+(* Cost model                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let cost_model_values () =
@@ -329,35 +342,6 @@ let cost_model_calibration () =
     200.
     ((2. *. cm.Dsim.Cost_model.tramp_oneway_ns)
     +. cm.Dsim.Cost_model.mutex_uncontended_ns)
-
-let trace_basic () =
-  let t = Dsim.Trace.create ~enabled:true () in
-  Dsim.Trace.record t ~at:(Dsim.Time.ns 5) ~component:"nic" "rx";
-  Dsim.Trace.recordf t ~at:(Dsim.Time.ns 7) ~component:"tcp" "seq=%d" 42;
-  Alcotest.(check int) "two events" 2 (List.length (Dsim.Trace.events t));
-  Alcotest.(check int) "find by component" 1
-    (List.length (Dsim.Trace.find t ~component:"tcp"));
-  (match Dsim.Trace.find t ~component:"tcp" with
-  | [ e ] -> Alcotest.(check string) "formatted" "seq=42" e.Dsim.Trace.message
-  | _ -> Alcotest.fail "expected one tcp event");
-  Dsim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Dsim.Trace.events t))
-
-let trace_disabled () =
-  let t = Dsim.Trace.create () in
-  Alcotest.(check bool) "disabled by default" false (Dsim.Trace.enabled t);
-  Dsim.Trace.record t ~at:Dsim.Time.zero ~component:"x" "dropped";
-  Alcotest.(check int) "no events recorded" 0 (List.length (Dsim.Trace.events t));
-  Dsim.Trace.set_enabled t true;
-  Dsim.Trace.record t ~at:Dsim.Time.zero ~component:"x" "kept";
-  Alcotest.(check int) "recorded after enable" 1 (List.length (Dsim.Trace.events t))
-
-let trace_capacity () =
-  let t = Dsim.Trace.create ~enabled:true ~capacity:3 () in
-  for i = 1 to 10 do
-    Dsim.Trace.record t ~at:Dsim.Time.zero ~component:"x" (string_of_int i)
-  done;
-  Alcotest.(check int) "capped" 3 (List.length (Dsim.Trace.events t))
 
 let histogram_buckets () =
   let h = Dsim.Histogram.create ~lo:1. ~ratio:2. ~buckets:8 () in
@@ -429,6 +413,7 @@ let suite =
     Alcotest.test_case "stats: mean/stddev/min/max" `Quick stats_mean_std;
     Alcotest.test_case "stats: empty and degenerate" `Quick stats_empty;
     Alcotest.test_case "stats: percentile interpolation" `Quick stats_percentile;
+    Alcotest.test_case "stats: percentiles from one sort" `Quick stats_percentiles;
     Alcotest.test_case "stats: boxplot quartiles" `Quick stats_boxplot;
     Alcotest.test_case "stats: IQR filter drops outliers" `Quick stats_iqr_filter;
     Alcotest.test_case "stats: IQR filter keeps clean data" `Quick stats_iqr_keeps_all_when_clean;
@@ -436,9 +421,6 @@ let suite =
     QCheck_alcotest.to_alcotest stats_percentile_monotone_prop;
     Alcotest.test_case "cost model: derived constants" `Quick cost_model_values;
     Alcotest.test_case "cost model: paper calibration relations" `Quick cost_model_calibration;
-    Alcotest.test_case "trace: record/find/clear" `Quick trace_basic;
-    Alcotest.test_case "trace: disabled is a no-op" `Quick trace_disabled;
-    Alcotest.test_case "trace: capacity cap" `Quick trace_capacity;
     Alcotest.test_case "histogram: bucket ladder" `Quick histogram_buckets;
     Alcotest.test_case "histogram: rendering" `Quick histogram_render;
     Alcotest.test_case "histogram: errors" `Quick histogram_errors;

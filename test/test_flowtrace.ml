@@ -129,6 +129,34 @@ let drop_table_counts_unsampled () =
   | table ->
     Alcotest.failf "unexpected drop table (%d entries)" (List.length table)
 
+(* A full registry refuses further samples, but counts every refusal
+   and says so in its dump; an untruncated dump carries no such field. *)
+let capacity_truncation_counted () =
+  let ft = Dsim.Flowtrace.create ~enabled:true ~sample_every:1 ~capacity:2 () in
+  let ctxs =
+    List.init 5 (fun i ->
+        Dsim.Flowtrace.origin_ns ft ~seq:i ~at_ns:(float_of_int i) ~flow:"full"
+          Dsim.Flowtrace.App)
+  in
+  Alcotest.(check int) "origins" 5 (Dsim.Flowtrace.origins ft);
+  Alcotest.(check int) "sampled up to capacity" 2 (Dsim.Flowtrace.sampled ft);
+  Alcotest.(check int) "refusals counted" 3 (Dsim.Flowtrace.refused ft);
+  Alcotest.(check int) "refused origins get no context" 3
+    (List.length (List.filter Option.is_none ctxs));
+  Alcotest.(check int) "two traces kept" 2
+    (List.length (Dsim.Flowtrace.traces ft));
+  let refused_field ft = Dsim.Json.member "refused" (Dsim.Flowtrace.to_json ft) in
+  Alcotest.(check bool) "dump reports refusals" true
+    (refused_field ft = Some (Dsim.Json.Int 3));
+  let roomy = Dsim.Flowtrace.create ~enabled:true ~sample_every:1 () in
+  ignore
+    (Dsim.Flowtrace.origin_ns roomy ~seq:0 ~at_ns:0. ~flow:"ok"
+       Dsim.Flowtrace.App);
+  Alcotest.(check bool) "no field when nothing was refused" true
+    (refused_field roomy = None);
+  Dsim.Flowtrace.clear ft;
+  Alcotest.(check int) "clear resets refusals" 0 (Dsim.Flowtrace.refused ft)
+
 let stage_names_round_trip () =
   List.iter
     (fun s ->
@@ -350,12 +378,86 @@ let stage_sum_matches_e2e () =
                   sum e2e (100. *. rel))
           [ "Baseline"; "Scenario 2 (uncontended)" ])
 
+(* --trace-json on Fig. 4 at netrepro's default --sample-every 64: the
+   Chrome export has a track per measured path, iterations 0, 64, 128
+   and 192 of each path are sampled (the TCP frames each write triggers
+   share the registry but not the iteration count), and every sampled
+   iteration renders as its stage events from clock_ret to clock_entry. *)
+let fig4_chrome_tracks () =
+  with_default_tracing ~sample_every:64 (fun ft ->
+      ignore (Core.Measurement.run ~iterations:200 Core.Measurement.Baseline);
+      ignore (Core.Measurement.run ~iterations:200 Core.Measurement.Scenario1);
+      let events =
+        match
+          Option.bind
+            (Dsim.Json.member "traceEvents"
+               (Dsim.Json.parse
+                  (Dsim.Json.to_string (Dsim.Flowtrace.to_chrome_trace ft))))
+            Dsim.Json.to_list
+        with
+        | Some evs -> evs
+        | None -> Alcotest.fail "no traceEvents list"
+      in
+      let str field e =
+        match Dsim.Json.member field e with
+        | Some (Dsim.Json.String v) -> v
+        | _ -> ""
+      in
+      let int field e =
+        match Dsim.Json.member field e with Some (Dsim.Json.Int v) -> v | _ -> -1
+      in
+      let tid_of label =
+        match
+          List.find_opt
+            (fun e ->
+              str "ph" e = "M"
+              && Option.map (str "name") (Dsim.Json.member "args" e)
+                 = Some label)
+            events
+        with
+        | Some e -> int "tid" e
+        | None -> Alcotest.failf "no track for %s" label
+      in
+      List.iter
+        (fun label ->
+          let tid = tid_of label in
+          let iterations =
+            List.filter
+              (fun c -> Dsim.Flowtrace.flow_label c = label)
+              (Dsim.Flowtrace.traces ft)
+          in
+          Alcotest.(check int) (label ^ ": iterations sampled") 4
+            (List.length iterations);
+          List.iter
+            (fun c ->
+              let names =
+                List.filter_map
+                  (fun e ->
+                    let trace =
+                      Option.map (int "trace") (Dsim.Json.member "args" e)
+                    in
+                    if
+                      str "ph" e = "X" && int "tid" e = tid
+                      && trace = Some (Dsim.Flowtrace.id c)
+                    then Some (str "name" e)
+                    else None)
+                  events
+              in
+              Alcotest.(check (list string))
+                (label ^ ": stage events")
+                [ "clock_ret"; "ff_write"; "clock_entry" ]
+                names)
+            iterations)
+        [ "Baseline"; "Scenario 1" ])
+
 let suite =
   [
     Alcotest.test_case "1-in-N sampling" `Quick sampling_one_in_n;
     Alcotest.test_case "disabled registry inert" `Quick disabled_is_inert;
     Alcotest.test_case "drop table complete when unsampled" `Quick
       drop_table_counts_unsampled;
+    Alcotest.test_case "capacity truncation counted" `Quick
+      capacity_truncation_counted;
     Alcotest.test_case "stage names round trip" `Quick stage_names_round_trip;
     Alcotest.test_case "rx path propagation" `Quick rx_path_propagation;
     Alcotest.test_case "retransmit lineage" `Quick retransmit_lineage;
@@ -366,4 +468,6 @@ let suite =
       fig4_bit_identical_with_tracing;
     Alcotest.test_case "stage sum matches end-to-end median" `Slow
       stage_sum_matches_e2e;
+    Alcotest.test_case "fig4 chrome export tracks per path" `Slow
+      fig4_chrome_tracks;
   ]

@@ -1,6 +1,7 @@
 (* Telemetry subsystem: registry semantics, zero-cost-when-disabled
-   discipline, Prometheus/Chrome exports, and the guarantee that
-   enabling telemetry does not move the calibrated figure medians. *)
+   discipline, the Prometheus export and the flow-trace Chrome export,
+   and the guarantee that enabling telemetry does not move the
+   calibrated figure medians. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -83,8 +84,8 @@ let disabled_updates_dropped () =
   Alcotest.(check int) "counts once enabled" 1 (Dsim.Metrics.value c)
 
 (* The hot-path discipline: updating a disabled instrument must not
-   allocate (same rule as Trace.record). The loop below would allocate
-   megabytes if incr/set boxed anything. *)
+   allocate. The loop below would allocate megabytes if incr/set boxed
+   anything. *)
 let disabled_zero_allocation () =
   let r = Dsim.Metrics.create () in
   let c = Dsim.Metrics.counter r "hot_total" in
@@ -171,78 +172,115 @@ let prometheus_export () =
   Alcotest.(check bool) "le=10 bucket" true
     (contains text "wait_ns_bucket{le=\"10\"} 1");
   Alcotest.(check bool) "le=100 bucket" true
-    (contains text "wait_ns_bucket{le=\"100\"} 2")
+    (contains text "wait_ns_bucket{le=\"100\"} 2");
+  (* The full histogram block, byte for byte: a sample below [lo],
+     samples past the ladder in the open last bucket, and a
+     non-power-of-two ratio. Any drift in Dsim.Histogram's ladder or
+     percentile, which the instrument delegates to, shows here. *)
+  let r = Dsim.Metrics.create ~enabled:true () in
+  let h =
+    Dsim.Metrics.histogram r ~help:"Fixed samples." ~labels:[ ("cvm", "cVM2") ]
+      ~lo:10. ~ratio:1.3 ~buckets:6 "lock_ns"
+  in
+  List.iter (Dsim.Metrics.observe h)
+    [ 4.; 10.; 12.5; 17.; 21.; 26.; 33.; 120.; 900. ];
+  Alcotest.(check string) "histogram exposition bytes"
+    "# HELP lock_ns Fixed samples.\n\
+     # TYPE lock_ns histogram\n\
+     lock_ns_bucket{cvm=\"cVM2\",le=\"13\"} 3\n\
+     lock_ns_bucket{cvm=\"cVM2\",le=\"16.9\"} 3\n\
+     lock_ns_bucket{cvm=\"cVM2\",le=\"21.97\"} 5\n\
+     lock_ns_bucket{cvm=\"cVM2\",le=\"28.561\"} 6\n\
+     lock_ns_bucket{cvm=\"cVM2\",le=\"37.1293\"} 7\n\
+     lock_ns_bucket{cvm=\"cVM2\",le=\"+Inf\"} 9\n\
+     lock_ns{cvm=\"cVM2\",quantile=\"0.5\"} 20.5752\n\
+     lock_ns{cvm=\"cVM2\",quantile=\"0.9\"} 42.8929\n\
+     lock_ns{cvm=\"cVM2\",quantile=\"0.99\"} 47.7016\n\
+     lock_ns{cvm=\"cVM2\",quantile=\"0.999\"} 48.2111\n\
+     lock_ns_sum{cvm=\"cVM2\"} 1143.5\n\
+     lock_ns_count{cvm=\"cVM2\"} 9\n"
+    (Dsim.Metrics.to_prometheus r)
 
 (* ------------------------------------------------------------------ *)
-(* Spans                                                                *)
+(* Chrome export of flow traces                                         *)
 (* ------------------------------------------------------------------ *)
-
-let span_nesting () =
-  let s = Dsim.Span.create ~enabled:true () in
-  let tid = Dsim.Span.track s "cvm1" in
-  let outer = Dsim.Span.start s ~at:(Dsim.Time.ns 100) ~tid ~cat:"run" "outer" in
-  let inner = Dsim.Span.start s ~at:(Dsim.Time.ns 150) ~tid "inner" in
-  Dsim.Span.finish s ~at:(Dsim.Time.ns 180) inner;
-  Dsim.Span.finish s ~at:(Dsim.Time.ns 300) outer;
-  Dsim.Span.instant s ~at:(Dsim.Time.ns 200) ~tid "tick";
-  match Dsim.Span.completed s with
-  | [ o; i; t ] ->
-    Alcotest.(check string) "outer first" "outer" o.Dsim.Span.name;
-    Alcotest.(check int) "outer depth" 0 o.Dsim.Span.depth;
-    check_float "outer dur" 200. o.Dsim.Span.dur_ns;
-    Alcotest.(check string) "inner nested" "inner" i.Dsim.Span.name;
-    Alcotest.(check int) "inner depth" 1 i.Dsim.Span.depth;
-    check_float "inner dur" 30. i.Dsim.Span.dur_ns;
-    Alcotest.(check string) "instant" "tick" t.Dsim.Span.name;
-    check_float "instant dur" 0. t.Dsim.Span.dur_ns
-  | l -> Alcotest.failf "expected 3 events, got %d" (List.length l)
-
-let span_disabled_inert () =
-  let s = Dsim.Span.create () in
-  let sp = Dsim.Span.start s ~at:(Dsim.Time.ns 1) "ghost" in
-  Dsim.Span.finish s ~at:(Dsim.Time.ns 2) sp;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Dsim.Span.completed s))
 
 let chrome_export_round_trip () =
-  let s = Dsim.Span.create ~enabled:true () in
-  let tid = Dsim.Span.track s "netstack" in
-  let sp =
-    Dsim.Span.start s ~at:(Dsim.Time.us 2) ~tid ~cat:"tcp"
-      ~args:[ ("bytes", "64") ] "ff_write"
+  let ft = Dsim.Flowtrace.create ~enabled:true ~sample_every:1 () in
+  let trace flow hops =
+    match hops with
+    | [] -> assert false
+    | (stage, t0) :: rest ->
+      let c = Dsim.Flowtrace.origin_ns ft ~seq:0 ~at_ns:t0 ~flow stage in
+      List.iter (fun (st, at) -> Dsim.Flowtrace.hop_ns c st ~at_ns:at) rest
   in
-  Dsim.Span.finish s ~at:(Dsim.Time.us 5) sp;
-  let json = Dsim.Span.to_chrome_json s in
-  let parsed = Dsim.Json.parse json in
+  trace "Baseline"
+    Dsim.Flowtrace.[ (App, 1000.); (Clock_ret, 1040.5); (Ff_write, 1110.25);
+                     (Clock_entry, 1128.) ];
+  trace "tcp:6000"
+    Dsim.Flowtrace.[ (Tcp_out, 2000.); (Ip_out, 2100.); (Wire, 14404.) ];
+  trace "Baseline"
+    Dsim.Flowtrace.[ (App, 3000.); (Clock_ret, 3041.); (Ff_write, 3112.);
+                     (Clock_entry, 3127.75) ];
+  let parsed =
+    Dsim.Json.parse
+      (Dsim.Json.to_string (Dsim.Flowtrace.to_chrome_trace ft))
+  in
   let events =
-    match Dsim.Json.member "traceEvents" parsed with
-    | Some l -> (
-      match Dsim.Json.to_list l with
-      | Some evs -> evs
-      | None -> Alcotest.fail "traceEvents not a list")
-    | None -> Alcotest.fail "no traceEvents"
+    match Option.bind (Dsim.Json.member "traceEvents" parsed) Dsim.Json.to_list with
+    | Some evs -> evs
+    | None -> Alcotest.fail "no traceEvents list"
   in
-  (* One thread_name metadata record plus the X event. *)
-  let phases =
-    List.filter_map
-      (fun e ->
-        match Dsim.Json.member "ph" e with
-        | Some (Dsim.Json.String p) -> Some p
-        | _ -> None)
-      events
+  let str field e =
+    match Dsim.Json.member field e with Some (Dsim.Json.String v) -> v | _ -> ""
   in
-  Alcotest.(check (list string)) "phases" [ "M"; "X" ] phases;
-  let x = List.nth events 1 in
-  let number field =
-    match Dsim.Json.member field x with
+  let number field e =
+    match Dsim.Json.member field e with
     | Some (Dsim.Json.Float v) -> v
     | Some (Dsim.Json.Int v) -> float_of_int v
     | _ -> Alcotest.failf "no %s" field
   in
-  check_float "ts in us" 2. (number "ts");
-  check_float "dur in us" 3. (number "dur");
-  match Dsim.Json.member "args" x with
-  | Some (Dsim.Json.Obj [ ("bytes", Dsim.Json.String "64") ]) -> ()
-  | _ -> Alcotest.fail "args lost"
+  (* One thread_name record per flow label. *)
+  let names =
+    List.filter_map
+      (fun e ->
+        if str "ph" e = "M" && str "name" e = "thread_name" then
+          Option.map (str "name") (Dsim.Json.member "args" e)
+        else None)
+      events
+  in
+  Alcotest.(check (list string)) "one track per flow label"
+    [ "Baseline"; "tcp:6000" ] names;
+  (* Each trace's X durations telescope to its last hop minus its
+     origin, and its events are named by the stage ending each
+     interval. *)
+  let xs = List.filter (fun e -> str "ph" e = "X") events in
+  Alcotest.(check int) "one event per hop interval" 8 (List.length xs);
+  List.iter
+    (fun c ->
+      let id = Dsim.Flowtrace.id c in
+      let mine =
+        List.filter
+          (fun e ->
+            match Option.bind (Dsim.Json.member "args" e) (Dsim.Json.member "trace") with
+            | Some (Dsim.Json.Int i) -> i = id
+            | _ -> false)
+          xs
+      in
+      let hops = Dsim.Flowtrace.hops c in
+      Alcotest.(check (list string))
+        (Printf.sprintf "trace %d stage names" id)
+        (List.map (fun (st, _) -> Dsim.Flowtrace.stage_name st) (List.tl hops))
+        (List.map (str "name") mine);
+      let total = List.fold_left (fun acc e -> acc +. number "dur" e) 0. mine in
+      let first = snd (List.hd hops) and last = snd (List.nth hops (List.length hops - 1)) in
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "trace %d durations telescope (us)" id)
+        ((last -. first) /. 1e3) total;
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "trace %d starts at its origin (us)" id)
+        (first /. 1e3) (number "ts" (List.hd mine)))
+    (Dsim.Flowtrace.traces ft)
 
 (* ------------------------------------------------------------------ *)
 (* Json round trip                                                      *)
@@ -266,25 +304,6 @@ let json_round_trip () =
     (Dsim.Json.parse_opt "{\"a\": }" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Trace additions                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let trace_error_and_count () =
-  let tr = Dsim.Trace.create ~enabled:true () in
-  Dsim.Trace.record tr ~at:Dsim.Time.zero ~component:"nic" "rx";
-  Dsim.Trace.record tr ~at:Dsim.Time.zero ~level:Dsim.Trace.Error ~component:"nic" "dma fault";
-  Dsim.Trace.record tr ~at:Dsim.Time.zero ~component:"stack" "tx";
-  Alcotest.(check int) "count by component" 2 (Dsim.Trace.count tr ~component:"nic");
-  Alcotest.(check int) "other component" 1 (Dsim.Trace.count tr ~component:"stack");
-  Alcotest.(check int) "absent component" 0 (Dsim.Trace.count tr ~component:"umtx");
-  let errors =
-    List.filter
-      (fun (e : Dsim.Trace.event) -> e.Dsim.Trace.level = Dsim.Trace.Error)
-      (Dsim.Trace.events tr)
-  in
-  Alcotest.(check int) "error level recorded" 1 (List.length errors)
-
-(* ------------------------------------------------------------------ *)
 (* Telemetry must not move the calibrated medians                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -298,13 +317,10 @@ let fig4_median_invariant () =
     r.Core.Measurement.boxplot.Dsim.Stats.median
   in
   Dsim.Metrics.set_enabled Dsim.Metrics.default false;
-  Dsim.Span.set_enabled Dsim.Span.default false;
   let base_off = median Core.Measurement.Baseline in
   let s1_off = median Core.Measurement.Scenario1 in
   Dsim.Metrics.set_enabled Dsim.Metrics.default true;
   Dsim.Metrics.reset Dsim.Metrics.default;
-  Dsim.Span.set_enabled Dsim.Span.default true;
-  Dsim.Span.clear Dsim.Span.default;
   let base_on = median Core.Measurement.Baseline in
   let s1_on = median Core.Measurement.Scenario1 in
   (* Telemetry was live: the registry must actually have counted. *)
@@ -319,8 +335,6 @@ let fig4_median_invariant () =
   in
   Dsim.Metrics.set_enabled Dsim.Metrics.default false;
   Dsim.Metrics.reset Dsim.Metrics.default;
-  Dsim.Span.set_enabled Dsim.Span.default false;
-  Dsim.Span.clear Dsim.Span.default;
   Alcotest.(check bool) "scenario 1 crossings counted" true (crossings > 0);
   check_float "Baseline median unchanged" base_off base_on;
   check_float "Scenario 1 median unchanged" s1_off s1_on
@@ -338,11 +352,8 @@ let suite =
     Alcotest.test_case "histogram percentiles vs Stats" `Quick
       histogram_percentiles;
     Alcotest.test_case "prometheus exposition" `Quick prometheus_export;
-    Alcotest.test_case "span nesting" `Quick span_nesting;
-    Alcotest.test_case "disabled spans inert" `Quick span_disabled_inert;
     Alcotest.test_case "chrome trace round trip" `Quick chrome_export_round_trip;
     Alcotest.test_case "json round trip" `Quick json_round_trip;
-    Alcotest.test_case "trace error level and count" `Quick trace_error_and_count;
     Alcotest.test_case "fig4 medians unmoved by telemetry" `Slow
       fig4_median_invariant;
   ]
