@@ -40,6 +40,18 @@ let context = ref "host"
 let set_context name = context := name
 let current_context () = !context
 
+let with_context name f =
+  let saved = !context in
+  context := name;
+  match f () with
+  | v ->
+    context := saved;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    context := saved;
+    Printexc.raise_with_backtrace e bt
+
 let faults_metric ~cvm ~kind =
   Dsim.Metrics.counter Dsim.Metrics.default
     ~help:"Capability faults raised, by compartment and fault kind."

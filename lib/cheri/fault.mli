@@ -44,6 +44,10 @@ val kind_label : kind -> string
 val set_context : string -> unit
 val current_context : unit -> string
 
+val with_context : string -> (unit -> 'a) -> 'a
+(** Run [f] with [name] as the ambient context, restoring the previous
+    one however [f] returns. *)
+
 val register_compartment : string -> unit
 (** Pre-register zero-valued [capability_faults_total] series for every
     fault kind under this compartment label. *)

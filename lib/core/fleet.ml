@@ -279,18 +279,12 @@ type tenant = {
 }
 
 type fleet = {
-  f_engine : Dsim.Engine.t;
-  f_dut : Topology.node;
-  f_peer : Topology.node;
-  f_stack_cvm : Capvm.Cvm.t;
-  f_dnif : Topology.netif;
-  f_pnif : Topology.netif;
+  f_sp : Scenarios.single_port;
   f_mutex : Capvm.Umtx.t;
   f_tenants : tenant array;
   f_obs : Dsim.Tenancy.t;
   f_fct : Dsim.Stats.t;  (* fleet-wide FCT buffer for the p99.9 gate *)
   f_running : bool ref;
-  mutable f_socks_peak : int;
 }
 
 let cl_get = function
@@ -298,10 +292,9 @@ let cl_get = function
   | Error e -> invalid_arg ("fleet client: " ^ Netstack.Errno.to_string e)
 
 let client_drop f tn af ~failed =
-  ignore
-    ((Iperf.api_of_ff f.f_dnif.Topology.ff).Iperf.epoll_ctl ~epfd:tn.tn_epfd
-       ~op:`Del ~fd:af.af_fd 0);
-  ignore ((Iperf.api_of_ff f.f_dnif.Topology.ff).Iperf.close af.af_fd);
+  let api = Iperf.api_of_ff f.f_sp.Scenarios.sp_dnif.Topology.ff in
+  ignore (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Del ~fd:af.af_fd 0);
+  ignore (api.Iperf.close af.af_fd);
   tn.tn_active <- List.filter (fun a -> a.af_fd <> af.af_fd) tn.tn_active;
   if failed then tn.tn_failed <- tn.tn_failed + 1
 
@@ -309,7 +302,7 @@ let client_drop f tn af ~failed =
    while [af_sent < header_len] each write re-stages the unsent header
    remainder at the buffer base (body bytes are arbitrary padding). *)
 let client_send f api tn af =
-  let mem = Topology.node_mem f.f_dut in
+  let mem = Topology.node_mem f.f_sp.Scenarios.sp_dut in
   let blen = Cheri.Capability.length tn.tn_buf in
   let base = Cheri.Capability.base tn.tn_buf in
   let rec go n =
@@ -339,7 +332,7 @@ let client_send f api tn af =
   end
 
 let client_complete f tn af =
-  let now = Dsim.Engine.now f.f_engine in
+  let now = Dsim.Engine.now f.f_sp.Scenarios.sp_engine in
   let fct_ns =
     Dsim.Time.to_float_ns (Dsim.Time.sub now af.af_spec.fs_arrived)
   in
@@ -369,7 +362,7 @@ let client_recv f api tn af =
    to the concurrency cap, then service whatever epoll reports. Returns
    whether the window made progress, which drives the poll backoff. *)
 let tenant_body f ~conc api tn =
-  let peer_ip = Netstack.Stack.ip f.f_pnif.Topology.stack in
+  let peer_ip = Netstack.Stack.ip f.f_sp.Scenarios.sp_pnif.Topology.stack in
   let started = ref false in
   while
     List.length tn.tn_active < conc && not (Queue.is_empty tn.tn_queue)
@@ -421,12 +414,11 @@ let tenant_body f ~conc api tn =
       events;
     !started || events <> []
 
-(* The s2-style app driver, generalised to N tenants: while a tenant
-   has work it polls under the mutex at [poll_interval]; when idle it
-   parks and the next arrival restarts it. Every window is charged the
-   trampoline round trip, the uncontended lock cost, a fixed app cost
-   and the per-frame TX cost — and attributed to the tenant's fault
-   context so {!Capvm.Intravisor.crossings_from} can bill it later.
+(* The Scenario 2 app driver, generalised to N tenants: while a tenant
+   has work it takes one crossing window at a time, [poll_interval]
+   apart; when idle it parks and the next arrival restarts it. Each
+   window runs in the tenant's fault context, so
+   {!Capvm.Intravisor.crossings_from} can bill its crossings later.
 
    Polling backs off exponentially (x2 per empty window, capped) and
    snaps back on progress: with hundreds of tenants FIFO-queued on one
@@ -435,18 +427,18 @@ let tenant_body f ~conc api tn =
    useful windows. *)
 let backoff_cap = 32
 let tenant_driver f ~profile tn =
-  let engine = f.f_engine in
-  let iv = Topology.intravisor f.f_dut in
-  let cost = Topology.node_cost f.f_dut in
-  let api = Iperf.api_of_ff f.f_dnif.Topology.ff in
-  let stack_counters = Netstack.Stack.counters f.f_dnif.Topology.stack in
-  let per_seg =
-    (Netstack.Stack.config f.f_dnif.Topology.stack).Netstack.Stack.per_packet_ns
+  let engine = f.f_sp.Scenarios.sp_engine in
+  let api = Iperf.api_of_ff f.f_sp.Scenarios.sp_dnif.Topology.ff in
+  let enter body =
+    let progress, tx_delta = Cheri.Fault.with_context tn.tn_name body in
+    tn.tn_tx_frames <- tn.tn_tx_frames + tx_delta;
+    tn.tn_backoff <-
+      (if progress then 1 else min backoff_cap (2 * tn.tn_backoff))
   in
-  let app_base_ns = 800. in
-  let k_hold =
-    Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name
-      ~stage:"step_hold"
+  let window =
+    Scenarios.crossing_window f.f_sp f.f_mutex ~component:"fleet"
+      ~owner:tn.tn_name ~extra_tramp:0 ~enter (fun () ->
+        tenant_body f ~conc:profile.p_concurrency api tn)
   in
   let k_step =
     Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name ~stage:"step"
@@ -455,46 +447,15 @@ let tenant_driver f ~profile tn =
     if not !(f.f_running) then tn.tn_polling <- false
     else if tn.tn_active = [] && Queue.is_empty tn.tn_queue then
       tn.tn_polling <- false
-    else
-      let flow =
-        Dsim.Flowtrace.origin Dsim.Flowtrace.default
-          ~at:(Dsim.Engine.now engine) ~flow:tn.tn_name App
-      in
-      Capvm.Umtx.acquire f.f_mutex ~flow ~owner:tn.tn_name (fun ~wait_ns:_ ->
-          let saved_ctx = Cheri.Fault.current_context () in
-          Cheri.Fault.set_context tn.tn_name;
-          let tx0 = stack_counters.Netstack.Stack.tx_frames in
-          let progress, tramp_ns =
-            Fun.protect
-              ~finally:(fun () -> Cheri.Fault.set_context saved_ctx)
-              (fun () ->
-                Capvm.Intravisor.trampoline iv ~flow ~into:f.f_stack_cvm
-                  (fun () -> tenant_body f ~conc:profile.p_concurrency api tn))
-          in
-          let tx_delta = stack_counters.Netstack.Stack.tx_frames - tx0 in
-          tn.tn_tx_frames <- tn.tn_tx_frames + tx_delta;
-          tn.tn_backoff <-
-            (if progress then 1 else min backoff_cap (2 * tn.tn_backoff));
-          let work_ns =
-            tramp_ns
-            +. cost.Dsim.Cost_model.mutex_uncontended_ns
-            +. app_base_ns
-            +. (per_seg *. float_of_int tx_delta)
-          in
-          ignore
-            (Dsim.Engine.schedule_l engine
-               ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-               (fun () ->
-                 Capvm.Umtx.release f.f_mutex;
-                 Dsim.Flowtrace.hop flow Tramp_out
-                   ~at:(Dsim.Engine.now engine);
-                 ignore
-                   (Dsim.Engine.schedule_l engine
-                      ~delay:
-                        (Dsim.Time.of_float_ns
-                           (Dsim.Time.to_float_ns profile.p_poll_interval
-                           *. float_of_int tn.tn_backoff))
-                      ~label:k_step step))))
+    else window next
+  and next () =
+    ignore
+      (Dsim.Engine.schedule_l engine
+         ~delay:
+           (Dsim.Time.of_float_ns
+              (Dsim.Time.to_float_ns profile.p_poll_interval
+              *. float_of_int tn.tn_backoff))
+         ~label:k_step step)
   in
   let k_arrival =
     Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name
@@ -535,57 +496,19 @@ let tenant_driver f ~profile tn =
             (Dsim.Rng.exponential tn.tn_rng ~mean:profile.p_arrival_mean_ns))
        ~label:k_arrival arrival)
 
-(* Stack cVM driver: identical discipline to Scenario 2's main loop —
-   each iteration runs under the mutex and holds it for its CPU cost.
-   Also the sampling point for the live-socket high-water mark. *)
-let stack_driver f =
-  let engine = f.f_engine in
-  let cost = Topology.node_cost f.f_dut in
-  let gap = Dsim.Time.of_float_ns cost.Dsim.Cost_model.stack_loop_gap_ns in
-  let k_hold =
-    Dsim.Profile.(key default) ~component:"netstack" ~cvm:"cVM1"
-      ~stage:"loop_hold"
-  in
-  let k_gap =
-    Dsim.Profile.(key default) ~component:"netstack" ~cvm:"cVM1"
-      ~stage:"loop_gap"
-  in
-  let rec iter () =
-    if !(f.f_running) then
-      Capvm.Umtx.acquire f.f_mutex ~owner:"cVM1-loop" (fun ~wait_ns:_ ->
-          let work_ns = Netstack.Stack.loop_once f.f_dnif.Topology.stack in
-          let live = Netstack.Stack.live_sockets f.f_dnif.Topology.stack in
-          if live > f.f_socks_peak then f.f_socks_peak <- live;
-          ignore
-            (Dsim.Engine.schedule_l engine
-               ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-               (fun () ->
-                 Capvm.Umtx.release f.f_mutex;
-                 ignore
-                   (Dsim.Engine.schedule_l engine ~delay:gap ~label:k_gap iter))))
-  in
-  iter ()
-
 (* ------------------------------------------------------------------ *)
 (* Topology                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let build ~profile ~tenants ~seed =
-  let engine = Shardcfg.engine () in
-  let dut = Topology.make_node engine ~name:"morello" ~ports:2 () in
-  let peer =
-    Topology.make_node engine ~name:"loadgen" ~generous_pci:true ~ports:2 ()
-  in
-  ignore (Topology.link engine dut 0 peer 0 : Nic.Link.t);
   (* Churn sizing: TIME_WAIT holds an fd for 50 ms per completed flow,
      so the fd space must cover the live window plus the churn backlog;
      socket buffers shrink so thousands of concurrent connections don't
      dominate memory. *)
-  let tune extra s cfg =
+  let tune cfg =
     {
       cfg with
-      Netstack.Stack.rng_seed = Scenarios.seed_plus seed s;
-      max_fds = 16384;
+      Netstack.Stack.max_fds = 16384;
       tcp =
         {
           cfg.Netstack.Stack.tcp with
@@ -597,26 +520,12 @@ let build ~profile ~tenants ~seed =
           rto_initial = Dsim.Time.ms 80;
         };
     }
-    |> extra
   in
-  let stack_cvm, dnif =
-    Scenarios.cvm_netif dut ~name:"cVM1" ~port_idx:0
-      ~ip:(Scenarios.ip_dut 0)
-      ~stack_tuning:(tune Fun.id 0) ()
-  in
-  let peer_cvm, pnif =
-    Scenarios.cvm_netif peer ~name:"gen1" ~port_idx:0
-      ~ip:(Scenarios.ip_peer 0)
-      ~stack_tuning:(tune Fun.id 1) ()
-  in
-  let cost = Topology.node_cost dut in
-  let mutex =
-    Capvm.Umtx.create engine ~policy:Capvm.Umtx.Fifo
-      ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
-      ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ()
-  in
+  let sp = Scenarios.single_port_base ~stack_tuning:tune ~seed () in
+  let mutex = Scenarios.s2_mutex sp ~policy:Capvm.Umtx.Fifo in
+  let dut = sp.Scenarios.sp_dut and peer_cvm = sp.Scenarios.sp_peer_cvm in
   let iv = Topology.intravisor dut in
-  let dut_api = Iperf.api_of_ff dnif.Topology.ff in
+  let dut_api = Iperf.api_of_ff sp.Scenarios.sp_dnif.Topology.ff in
   let root_rng = Dsim.Rng.create ~seed in
   let tenant_arr =
     Array.init tenants (fun i ->
@@ -646,31 +555,27 @@ let build ~profile ~tenants ~seed =
   in
   let f =
     {
-      f_engine = engine;
-      f_dut = dut;
-      f_peer = peer;
-      f_stack_cvm = stack_cvm;
-      f_dnif = dnif;
-      f_pnif = pnif;
+      f_sp = sp;
       f_mutex = mutex;
       f_tenants = tenant_arr;
       f_obs = Dsim.Tenancy.create ();
       f_fct = Dsim.Stats.create ();
       f_running = ref true;
-      f_socks_peak = 0;
     }
   in
   (* Peer: server farm inside the load generator's stack loop. *)
-  let peer_api = Iperf.api_of_ff pnif.Topology.ff in
-  let peer_mem = Topology.node_mem peer in
+  let peer_api = Iperf.api_of_ff sp.Scenarios.sp_pnif.Topology.ff in
+  let peer_mem = Topology.node_mem sp.Scenarios.sp_peer in
   let sv =
     make_server peer_api ~mem:peer_mem
       ~rbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~wbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~tenants
   in
-  Netstack.Stack.start ~hook:(fun _ -> server_step sv) pnif.Topology.stack;
-  stack_driver f;
+  Netstack.Stack.start
+    ~hook:(fun _ -> server_step sv)
+    sp.Scenarios.sp_pnif.Topology.stack;
+  Scenarios.s2_stack_driver sp mutex ~running:f.f_running;
   Array.iter (fun tn -> tenant_driver f ~profile tn) tenant_arr;
   f
 
@@ -789,19 +694,19 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
   if tenants > 1000 then invalid_arg "fleet: tenants must be <= 1000";
   let ft = Dsim.Flowtrace.default in
   let f = build ~profile ~tenants ~seed in
-  let engine = f.f_engine in
+  let engine = f.f_sp.Scenarios.sp_engine in
   (* Warmup: resolve ARP both ways before the first SYN, so the opening
      flows don't eat an ARP-retry timeout into their completion times. *)
-  Netstack.Stack.ping f.f_dnif.Topology.stack
+  Netstack.Stack.ping f.f_sp.Scenarios.sp_dnif.Topology.stack
     ~ip:(Scenarios.ip_peer 0) ~ident:1 ~seq:1 ~payload:(Bytes.create 8);
   Dsim.Engine.run engine ~until:profile.p_warmup;
-  let iv = Topology.intravisor f.f_dut in
+  let iv = Topology.intravisor f.f_sp.Scenarios.sp_dut in
   Dsim.Flowtrace.with_recording ~sample_every:profile.p_sample_every ft
     (fun () ->
       let t0 = Dsim.Engine.now engine in
       Dsim.Engine.run engine ~until:(Dsim.Time.add t0 profile.p_duration);
       f.f_running := false;
-      Netstack.Stack.stop f.f_pnif.Topology.stack;
+      Netstack.Stack.stop f.f_sp.Scenarios.sp_pnif.Topology.stack;
       (* Fold the collected streams into the observatory. *)
       Array.iter
         (fun tn ->
@@ -811,6 +716,9 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
         f.f_tenants;
       Dsim.Tenancy.ingest f.f_obs ~tenant_of:(tenant_of_label ~tenants) ft);
   let duration_ns = Dsim.Time.to_float_ns profile.p_duration in
+  let socks_peak =
+    Netstack.Stack.live_sockets_peak f.f_sp.Scenarios.sp_dnif.Topology.stack
+  in
   let rollups = Dsim.Tenancy.rollup f.f_obs ~duration_ns in
   let flows = Array.fold_left (fun a tn -> a + tn.tn_flows) 0 f.f_tenants in
   let failed = Array.fold_left (fun a tn -> a + tn.tn_failed) 0 f.f_tenants in
@@ -898,7 +806,7 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
   Printf.bprintf b
     "  flows completed: %d (%d failed)   goodput: %.1f Mbit/s   peak live \
      sockets: %d\n"
-    flows failed goodput_mbit f.f_socks_peak;
+    flows failed goodput_mbit socks_peak;
   Printf.bprintf b
     "  fct p50 %s   p90 %s   p99 %s   p99.9 %s\n"
     (fmt_ns (fct 50.))
@@ -971,7 +879,7 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
         ("jain_goodput", Dsim.Json.Float jain_goodput);
         ("crossings", Dsim.Json.Int crossings);
         ("tx_frames", Dsim.Json.Int packets);
-        ("live_sockets_peak", Dsim.Json.Int f.f_socks_peak);
+        ("live_sockets_peak", Dsim.Json.Int socks_peak);
         ("events_fired", Dsim.Json.Int (Dsim.Engine.events_fired engine));
         ("origins", Dsim.Json.Int (Dsim.Tenancy.origins f.f_obs));
         ("sampled", Dsim.Json.Int (Dsim.Tenancy.sampled f.f_obs));
@@ -1022,7 +930,7 @@ let run ?(profile = quick) ?tenants ?(seed = 42L) () =
     r_jain_goodput = jain_goodput;
     r_crossings = crossings;
     r_packets = packets;
-    r_live_socks_peak = f.f_socks_peak;
+    r_live_socks_peak = socks_peak;
     r_events = Dsim.Engine.events_fired engine;
     r_rollups = rollups;
     r_gates = gates;

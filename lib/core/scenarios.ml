@@ -34,47 +34,21 @@ let app_buf cvm mem = Capvm.Cvm.calloc cvm mem app_buffer_size
 
 let seed_plus seed i = Int64.add seed (Int64.of_int i)
 
-(* Supervised replacement for [Stack.start]: the same loop, but every
-   iteration enters the cVM through the supervisor's trap boundary, so a
-   capability fault raised anywhere inside it (frame processing, TCP
-   machinery, the application hook) quarantines that cVM while the rest
-   of the topology keeps running. While the cVM is down the driver polls
-   its state; it resumes looping on recovery and dies with the cVM.
-   Uses a constant gap (no idle backoff): supervised runs are the chaos
-   runs, where calibrated idle behaviour is not at stake. *)
-let supervised_stack_loop sup ~cvm ~running stack =
-  let engine = Netstack.Stack.engine stack in
-  let gap = (Netstack.Stack.config stack).Netstack.Stack.loop_gap in
-  let down_poll = Dsim.Time.us 20 in
-  let cvm_name = Capvm.Cvm.name cvm in
-  let k_loop =
-    Dsim.Profile.(key default) ~component:"netstack" ~cvm:cvm_name ~stage:"loop"
-  in
-  let k_poll =
-    Dsim.Profile.(key default) ~component:"netstack" ~cvm:cvm_name
-      ~stage:"down_poll"
-  in
+(* Supervised [Stack.start]: the stack's own loop and schedule, but
+   every iteration enters the cVM through the supervisor's trap
+   boundary, so a capability fault raised anywhere inside it (frame
+   processing, TCP machinery, the application hook) quarantines that
+   cVM while the rest of the topology keeps running. While the cVM is
+   down its iterations are idle polls; the loop stops with a dead cVM. *)
+let supervised_stack_loop sup ~cvm ~hook stack =
   Capvm.Supervisor.register sup cvm;
-  let rec iter () =
-    if !running then
-      match Capvm.Supervisor.state sup ~cvm with
-      | Capvm.Supervisor.Dead -> ()
-      | Capvm.Supervisor.Running -> (
-        match
-          Capvm.Supervisor.run sup ~cvm (fun () ->
-              Netstack.Stack.loop_once stack)
-        with
-        | Capvm.Supervisor.Done work_ns ->
-          ignore
-            (Dsim.Engine.schedule_l engine
-               ~delay:(Dsim.Time.add (Dsim.Time.of_float_ns work_ns) gap)
-               ~label:k_loop iter)
-        | Capvm.Supervisor.Faulted _ | Capvm.Supervisor.Refused _ ->
-          ignore (Dsim.Engine.schedule_l engine ~delay:down_poll ~label:k_poll iter))
-      | _ ->
-        ignore (Dsim.Engine.schedule_l engine ~delay:down_poll ~label:k_poll iter)
-  in
-  iter ()
+  Netstack.Stack.start ~hook stack ~enter:(fun iteration ->
+      match Capvm.Supervisor.run sup ~cvm iteration with
+      | Capvm.Supervisor.Done work_ns -> Some work_ns
+      | Capvm.Supervisor.Refused Capvm.Supervisor.Dead ->
+        Netstack.Stack.stop stack;
+        None
+      | Capvm.Supervisor.Faulted _ | Capvm.Supervisor.Refused _ -> None)
 
 (* --------------------------------------------------------------- *)
 (* Dual-port: Baseline (two processes) and Scenario 1               *)
@@ -93,13 +67,11 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
   let peer =
     Topology.make_node engine ~name:"loadgen" ~generous_pci:true ~ports:2 ()
   in
-  let running = ref true in
   let flows = ref [] and stoppers = ref [] in
   let links = ref [] and netifs = ref [] and cvms = ref [] in
-  (* Identical to [Stack.start ~hook] when unsupervised; otherwise every
-     iteration of this cVM's loop runs under the trap boundary, and the
-     chaos hook gets a point inside the compartment to raise faults
-     from. *)
+  (* When supervised, every iteration of this cVM's loop runs under the
+     trap boundary, and the chaos hook gets a point inside the
+     compartment to raise faults from. *)
   let start_dut_stack cvm nif hook =
     let hook =
       match app_hook with
@@ -111,9 +83,7 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
     in
     match supervise with
     | None -> Netstack.Stack.start ~hook nif.Topology.stack
-    | Some sup ->
-      Netstack.Stack.set_hook nif.Topology.stack (Some hook);
-      supervised_stack_loop sup ~cvm ~running nif.Topology.stack
+    | Some sup -> supervised_stack_loop sup ~cvm ~hook nif.Topology.stack
   in
   (* Each port pair (DUT stack, peer stack, their link and apps) is a
      self-contained event population — place pair [i] on shard
@@ -184,10 +154,7 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
     links = List.rev !links;
     dut_netifs = List.rev !netifs;
     app_cvms = List.rev !cvms;
-    stop =
-      (fun () ->
-        running := false;
-        List.iter (fun f -> f ()) !stoppers);
+    stop = (fun () -> List.iter (fun f -> f ()) !stoppers);
   }
 
 (* --------------------------------------------------------------- *)
@@ -205,7 +172,7 @@ type single_port = {
   sp_link : Nic.Link.t;
 }
 
-let single_port_base ?engine ~seed () =
+let single_port_base ?engine ?(stack_tuning = Fun.id) ~seed () =
   (* [engine] lets a caller (the wall-clock bench) build several
      independent single-port topologies as replicas sharing one sharded
      engine, each under its own {!Shardcfg.with_placement}. *)
@@ -215,7 +182,9 @@ let single_port_base ?engine ~seed () =
     Topology.make_node engine ~name:"loadgen" ~generous_pci:true ~ports:2 ()
   in
   let link = Topology.link engine dut 0 peer 0 in
-  let tune s cfg = { cfg with Netstack.Stack.rng_seed = seed_plus seed s } in
+  let tune s cfg =
+    stack_tuning { cfg with Netstack.Stack.rng_seed = seed_plus seed s }
+  in
   let stack_cvm, dnif =
     cvm_netif dut ~name:"cVM1" ~port_idx:0 ~ip:(ip_dut 0)
       ~stack_tuning:(tune 0) ()
@@ -312,6 +281,13 @@ let build_single_baseline ?engine ?(seed = 43L) ~direction () =
         Netstack.Stack.stop sp.sp_pnif.Topology.stack);
   }
 
+(* The Scenario 2 shared mutex, at the DUT's calibrated lock costs. *)
+let s2_mutex sp ~policy =
+  let cost = Topology.node_cost sp.sp_dut in
+  Capvm.Umtx.create sp.sp_engine ~policy
+    ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
+    ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ()
+
 (* Scenario 2 main-loop driver: each iteration runs under the mutex and
    holds it for the iteration's CPU cost. *)
 let s2_stack_driver sp mu ~running =
@@ -339,174 +315,128 @@ let s2_stack_driver sp mu ~running =
   in
   iter ()
 
-(* Scenario 2 application driver: a separate cVM thread; each step
-   trampolines into cVM1 under the mutex.
+(* Fixed CPU cost of one application step in the crossing window, apart
+   from the trampoline, the lock and the per-frame TX work: the app's
+   own loop body and its ff_* call overhead, paid while it holds the
+   mutex. *)
+let app_base_ns = 800.
 
-   [extra_tramp] models Scenario 3's additional F-Stack/DPDK split. *)
-let s2_app_driver sp mu ~running ~app_cvm ~interval ~extra_tramp step =
+(* The Scenario 2 crossing window, the per-boundary cost the paper
+   measures (see the interface). One flow trace per window: App origin,
+   then the umtx wait and the trampoline into cVM1 as stages. *)
+let crossing_window sp mu ~component ~owner ~extra_tramp ~enter step =
   let engine = sp.sp_engine in
   let iv = Topology.intravisor sp.sp_dut in
   let cost = Topology.node_cost sp.sp_dut in
-  let stack_counters = Netstack.Stack.counters sp.sp_dnif.Topology.stack in
-  let per_seg =
-    (Netstack.Stack.config sp.sp_dnif.Topology.stack).Netstack.Stack.per_packet_ns
-  in
-  let app_base_ns = 800. in
+  let stack = sp.sp_dnif.Topology.stack in
+  let counters = Netstack.Stack.counters stack in
+  let per_seg = (Netstack.Stack.config stack).Netstack.Stack.per_packet_ns in
   let k_hold =
-    Dsim.Profile.(key default) ~component:"app"
-      ~cvm:(Capvm.Cvm.name app_cvm) ~stage:"step_hold"
+    Dsim.Profile.(key default) ~component ~cvm:owner ~stage:"step_hold"
   in
-  let k_iter =
-    Dsim.Profile.(key default) ~component:"app"
-      ~cvm:(Capvm.Cvm.name app_cvm) ~stage:"step"
-  in
-  let rec iter () =
-    if !running then begin
-      (* One trace per app step: App origin, then the umtx wait and the
-         trampoline into cVM1 show up as stages. *)
-      let flow =
-        Dsim.Flowtrace.origin Dsim.Flowtrace.default
-          ~at:(Dsim.Engine.now engine)
-          ~flow:(Capvm.Cvm.name app_cvm) App
-      in
-      Capvm.Umtx.acquire mu ~flow ~owner:(Capvm.Cvm.name app_cvm) (fun ~wait_ns:_ ->
-          (* The app step belongs to the app cVM: set the attribution
-             context for the synchronous part so the trampoline records
-             an appN -> cVM1 crossing (not host -> cVM1) and the audit's
-             cross-compartment edges match the paper's topology. *)
-          let saved_ctx = Cheri.Fault.current_context () in
-          Cheri.Fault.set_context (Capvm.Cvm.name app_cvm);
-          let tx0 = stack_counters.Netstack.Stack.tx_frames in
-          let (), tramp_ns =
-            Fun.protect
-              ~finally:(fun () -> Cheri.Fault.set_context saved_ctx)
-              (fun () ->
-                Capvm.Intravisor.trampoline iv ~flow ~into:sp.sp_stack_cvm step)
-          in
-          let tx_delta = stack_counters.Netstack.Stack.tx_frames - tx0 in
-          let work_ns =
-            tramp_ns
-            +. (float_of_int extra_tramp *. Capvm.Intravisor.trampoline_cost_ns iv)
-            +. cost.Dsim.Cost_model.mutex_uncontended_ns
-            +. app_base_ns
-            +. (per_seg *. float_of_int tx_delta)
-          in
-          ignore
-            (Dsim.Engine.schedule_l engine
-               ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-               (fun () ->
-                 Capvm.Umtx.release mu;
-                 Dsim.Flowtrace.hop flow Tramp_out
-                   ~at:(Dsim.Engine.now engine);
-                 ignore
-                   (Dsim.Engine.schedule_l engine ~delay:interval ~label:k_iter
-                      iter))))
-    end
-  in
-  iter ()
+  fun after ->
+    let flow =
+      Dsim.Flowtrace.origin Dsim.Flowtrace.default
+        ~at:(Dsim.Engine.now engine) ~flow:owner App
+    in
+    Capvm.Umtx.acquire mu ~flow ~owner (fun ~wait_ns:_ ->
+        enter (fun () ->
+            let tx0 = counters.Netstack.Stack.tx_frames in
+            let r, tramp_ns =
+              Capvm.Intravisor.trampoline iv ~flow ~into:sp.sp_stack_cvm step
+            in
+            let tx_delta = counters.Netstack.Stack.tx_frames - tx0 in
+            let work_ns =
+              tramp_ns
+              +. (float_of_int extra_tramp *. Capvm.Intravisor.trampoline_cost_ns iv)
+              +. cost.Dsim.Cost_model.mutex_uncontended_ns
+              +. app_base_ns
+              +. (per_seg *. float_of_int tx_delta)
+            in
+            ignore
+              (Dsim.Engine.schedule_l engine
+                 ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
+                 (fun () ->
+                   Capvm.Umtx.release mu;
+                   Dsim.Flowtrace.hop flow Tramp_out
+                     ~at:(Dsim.Engine.now engine);
+                   after ()));
+            (r, tx_delta)))
 
-(* Supervised variant of [s2_app_driver]. Differences: the app object is
-   rebuilt on restart (its connection died with the cVM), every entry
-   that runs compartment code goes through the supervisor's trap
-   boundary, and containment force-releases the shared mutex — the
-   Scenario 2 hazard is precisely a dead app cVM leaving the F-Stack
-   mutex held, deadlocking cVM1's main loop and every sibling. *)
-let s2_app_driver_supervised sp mu sup ~running ~app_cvm ~interval ~extra_tramp
-    ~app_hook make_app =
-  let engine = sp.sp_engine in
-  let iv = Topology.intravisor sp.sp_dut in
-  let cost = Topology.node_cost sp.sp_dut in
-  let stack_counters = Netstack.Stack.counters sp.sp_dnif.Topology.stack in
-  let per_seg =
-    (Netstack.Stack.config sp.sp_dnif.Topology.stack).Netstack.Stack.per_packet_ns
-  in
-  let app_base_ns = 800. in
+(* Scenario 2 application driver: a separate cVM thread whose every step
+   is one crossing window into cVM1, [interval] apart. [make_app] builds
+   the app as (step, take_bytes, stop); the result reads the current
+   app's take_bytes. [extra_tramp] models Scenario 3's F-Stack/DPDK split.
+
+   Each window runs in the app cVM's fault context (under [sup], through
+   its trap boundary), so the trampoline records an appN -> cVM1 crossing
+   and the audit's cross-compartment edges match the paper's topology.
+   Under [sup] the app is rebuilt on restart (its connection died with
+   the cVM) and containment force-releases the shared mutex: a dead app
+   cVM holding it would deadlock cVM1's loop and every sibling.
+   [app_hook] runs with the mutex held, inside the boundary. *)
+let s2_app_driver sp mu ?sup ?app_hook ~running ~app_cvm ~interval
+    ~extra_tramp make_app =
   let name = Capvm.Cvm.name app_cvm in
-  let k_hold =
-    Dsim.Profile.(key default) ~component:"app" ~cvm:name ~stage:"step_hold"
+  let cur = ref (make_app ()) in
+  let enter body =
+    let body () =
+      (match app_hook with Some inject -> inject app_cvm | None -> ());
+      body ()
+    in
+    match sup with
+    | None -> ignore (Cheri.Fault.with_context name body)
+    | Some sup ->
+      (* A fault, or a wake already in flight when the cVM trapped
+         (refused), leaves nothing to do: containment broke the hold
+         and the restart, if any, re-arms the loop. *)
+      ignore (Capvm.Supervisor.run sup ~cvm:app_cvm body)
+  in
+  let window =
+    crossing_window sp mu ~component:"app" ~owner:name ~extra_tramp ~enter
+      (fun () ->
+        let step, _, _ = !cur in
+        step ())
   in
   let k_iter =
     Dsim.Profile.(key default) ~component:"app" ~cvm:name ~stage:"step"
   in
-  let cur = ref (make_app ()) in
-  let iter_ref = ref (fun () -> ()) in
-  let resched () =
-    ignore
-      (Dsim.Engine.schedule_l engine ~delay:interval ~label:k_iter (fun () ->
-           !iter_ref ()))
-  in
-  Capvm.Supervisor.register sup app_cvm;
-  Capvm.Supervisor.add_cleanup sup ~cvm:app_cvm (fun () ->
-      ignore (Capvm.Umtx.force_release mu ~owner:name);
-      let _, _, stop = !cur in
-      stop ());
-  Capvm.Supervisor.set_restart sup ~cvm:app_cvm (fun () ->
-      cur := make_app ();
-      resched ());
-  (* Runs with the mutex held, inside the trap boundary; a fault here
-     (e.g. injected by [app_hook]) is the held-mutex crash scenario. *)
-  let body flow =
-    (match app_hook with Some inject -> inject app_cvm | None -> ());
-    let step, _, _ = !cur in
-    let tx0 = stack_counters.Netstack.Stack.tx_frames in
-    let (), tramp_ns =
-      Capvm.Intravisor.trampoline iv ~flow ~into:sp.sp_stack_cvm step
-    in
-    let tx_delta = stack_counters.Netstack.Stack.tx_frames - tx0 in
-    let work_ns =
-      tramp_ns
-      +. (float_of_int extra_tramp *. Capvm.Intravisor.trampoline_cost_ns iv)
-      +. cost.Dsim.Cost_model.mutex_uncontended_ns
-      +. app_base_ns
-      +. (per_seg *. float_of_int tx_delta)
-    in
-    ignore
-      (Dsim.Engine.schedule_l engine
-         ~delay:(Dsim.Time.of_float_ns work_ns) ~label:k_hold
-         (fun () ->
-           Capvm.Umtx.release mu;
-           Dsim.Flowtrace.hop flow Tramp_out ~at:(Dsim.Engine.now engine);
-           resched ()))
-  in
-  let iter () =
+  let rec iter () =
     if !running then
-      match Capvm.Supervisor.state sup ~cvm:app_cvm with
-      | Capvm.Supervisor.Dead -> ()
-      | Capvm.Supervisor.Running ->
-        let flow =
-          Dsim.Flowtrace.origin Dsim.Flowtrace.default
-            ~at:(Dsim.Engine.now engine) ~flow:name App
-        in
-        Capvm.Umtx.acquire mu ~flow ~owner:name (fun ~wait_ns:_ ->
-            match
-              Capvm.Supervisor.run sup ~cvm:app_cvm (fun () -> body flow)
-            with
-            | Capvm.Supervisor.Done () -> ()
-            | Capvm.Supervisor.Faulted _ ->
-              (* Containment force-released the mutex; the restart (if
-                 any) re-arms the loop. *)
-              ()
-            | Capvm.Supervisor.Refused _ ->
-              (* A wake already in flight when the cVM trapped; the
-                 cleanup broke the hold, nothing runs. *)
-              ())
-      | _ -> resched ()
+      match sup with
+      | None -> window resched
+      | Some sup -> (
+        match Capvm.Supervisor.state sup ~cvm:app_cvm with
+        | Capvm.Supervisor.Dead -> ()
+        | Capvm.Supervisor.Running -> window resched
+        | _ -> resched ())
+  and resched () =
+    ignore
+      (Dsim.Engine.schedule_l sp.sp_engine ~delay:interval ~label:k_iter iter)
   in
-  iter_ref := iter;
-  iter ()
+  Option.iter
+    (fun sup ->
+      Capvm.Supervisor.register sup app_cvm;
+      Capvm.Supervisor.add_cleanup sup ~cvm:app_cvm (fun () ->
+          ignore (Capvm.Umtx.force_release mu ~owner:name);
+          let _, _, stop = !cur in
+          stop ());
+      Capvm.Supervisor.set_restart sup ~cvm:app_cvm (fun () ->
+          cur := make_app ();
+          resched ()))
+    sup;
+  iter ();
+  fun () ->
+    let _, take, _ = !cur in
+    take ()
 
 let build_s2_like ?(seed = 44L) ?(contended = false)
     ?(lock_policy = Capvm.Umtx.Barging) ?(app_interval = Dsim.Time.us 2)
     ?supervise ?app_hook ~extra_tramp ~direction () =
   let sp = single_port_base ~seed () in
   let engine = sp.sp_engine in
-  let supervise = Option.map (fun f -> f engine) supervise in
-  let cost = Topology.node_cost sp.sp_dut in
-  let mu =
-    Capvm.Umtx.create engine ~policy:lock_policy
-      ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
-      ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ()
-  in
+  let sup = Option.map (fun f -> f engine) supervise in
+  let mu = s2_mutex sp ~policy:lock_policy in
   let running = ref true in
   let napps = if contended then 2 else 1 in
   let cvms = ref [] in
@@ -523,28 +453,12 @@ let build_s2_like ?(seed = 44L) ?(contended = false)
         let interval =
           if throttled then Dsim.Time.mul app_interval 33 else app_interval
         in
-        let label = Printf.sprintf "cVM%d" (i + 2) in
-        match supervise with
-        | None ->
-          let step, take, _stop =
-            dut_app sp ~direction ~flow_idx:i ~app_cvm ~throttled ()
-          in
-          s2_app_driver sp mu ~running ~app_cvm ~interval ~extra_tramp step;
-          { label; take_bytes = take }
-        | Some sup ->
-          (* The app is rebuilt on restart; route take_bytes through the
-             current incarnation. *)
-          let cur_take = ref (fun () -> 0) in
-          let make_app () =
-            let ((_, take, _) as app) =
-              dut_app sp ~direction ~flow_idx:i ~app_cvm ~throttled ()
-            in
-            cur_take := take;
-            app
-          in
-          s2_app_driver_supervised sp mu sup ~running ~app_cvm ~interval
-            ~extra_tramp ~app_hook make_app;
-          { label; take_bytes = (fun () -> !cur_take ()) })
+        let take_bytes =
+          s2_app_driver sp mu ?sup ?app_hook ~running ~app_cvm ~interval
+            ~extra_tramp (fun () ->
+              dut_app sp ~direction ~flow_idx:i ~app_cvm ~throttled ())
+        in
+        { label = Printf.sprintf "cVM%d" (i + 2); take_bytes })
   in
   s2_stack_driver sp mu ~running;
   peer_apps sp ~direction ~n:napps;
@@ -600,12 +514,7 @@ let build_measurement ?(seed = 45L) ~mode () =
     Netstack.Stack.start sp.sp_dnif.Topology.stack;
     peer_apps sp ~direction:Dut_sends ~n:1
   | `S2 contended ->
-    let cost = Topology.node_cost sp.sp_dut in
-    let mu =
-      Capvm.Umtx.create sp.sp_engine ~policy:Capvm.Umtx.Barging
-        ~uncontended_ns:cost.Dsim.Cost_model.mutex_uncontended_ns
-        ~wake_ns:cost.Dsim.Cost_model.umtx_wake_ns ()
-    in
+    let mu = s2_mutex sp ~policy:Capvm.Umtx.Barging in
     mu_ref := Some mu;
     s2_stack_driver sp mu ~running;
     if contended then begin
@@ -616,11 +525,11 @@ let build_measurement ?(seed = 45L) ~mode () =
           (Topology.intravisor sp.sp_dut)
           ~name:"cVM3" ~size:cvm_size
       in
-      let step, _take, _stop =
-        dut_app sp ~direction:Dut_sends ~flow_idx:1 ~app_cvm:bg_cvm ()
-      in
-      s2_app_driver sp mu ~running ~app_cvm:bg_cvm ~interval:(Dsim.Time.us 2)
-        ~extra_tramp:0 step;
+      ignore
+        (s2_app_driver sp mu ~running ~app_cvm:bg_cvm
+           ~interval:(Dsim.Time.us 2) ~extra_tramp:0 (fun () ->
+             dut_app sp ~direction:Dut_sends ~flow_idx:1 ~app_cvm:bg_cvm ())
+          : unit -> int);
       peer_apps sp ~direction:Dut_sends ~n:2
     end
     else peer_apps sp ~direction:Dut_sends ~n:1);

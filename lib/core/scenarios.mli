@@ -47,8 +47,9 @@ val app_buffer_size : int
 
 (** {1 Topology building blocks}
 
-    Shared by the canned scenarios and {!Fleet}, which composes the same
-    single-port DUT/peer pieces at a different scale. *)
+    The single-port DUT/peer pieces and the Scenario 2 drivers. The
+    canned scenarios below and {!Fleet}, which runs Scenario 2 at a
+    different scale, assemble their topologies from these. *)
 
 val ip_dut : int -> Netstack.Ipv4_addr.t
 (** 10.0.[subnet].1 — the DUT side of subnet [subnet]. *)
@@ -56,18 +57,55 @@ val ip_dut : int -> Netstack.Ipv4_addr.t
 val ip_peer : int -> Netstack.Ipv4_addr.t
 (** 10.0.[subnet].2 — the load-generator side. *)
 
-val seed_plus : int64 -> int -> int64
-(** Derive a per-component seed from the run seed. *)
+type single_port = {
+  sp_engine : Dsim.Engine.t;
+  sp_dut : Topology.node;
+  sp_peer : Topology.node;
+  sp_stack_cvm : Capvm.Cvm.t;  (** cVM1, hosting the DUT stack. *)
+  sp_dnif : Topology.netif;
+  sp_pnif : Topology.netif;
+  sp_peer_cvm : Capvm.Cvm.t;
+  sp_link : Nic.Link.t;
+}
 
-val cvm_netif :
-  Topology.node ->
-  name:string ->
-  port_idx:int ->
-  ip:Netstack.Ipv4_addr.t ->
+val single_port_base :
+  ?engine:Dsim.Engine.t ->
   ?stack_tuning:(Netstack.Stack.config -> Netstack.Stack.config) ->
+  seed:int64 ->
   unit ->
-  Capvm.Cvm.t * Topology.netif
-(** One cVM hosting a full network stack on [port_idx]. *)
+  single_port
+(** DUT and peer nodes on one link, each with a stack cVM on port 0;
+    nothing is started. Each stack is seeded from [seed], then passed
+    through [stack_tuning]. *)
+
+val s2_mutex : single_port -> policy:Capvm.Umtx.policy -> Capvm.Umtx.t
+(** The Scenario 2 shared mutex, at the DUT's calibrated lock costs. *)
+
+val s2_stack_driver : single_port -> Capvm.Umtx.t -> running:bool ref -> unit
+(** Drive cVM1's main loop under the mutex: each iteration holds it for
+    its CPU cost, then the loop waits the stack loop gap. Stops once
+    [running] is false. *)
+
+val crossing_window :
+  single_port ->
+  Capvm.Umtx.t ->
+  component:string ->
+  owner:string ->
+  extra_tramp:int ->
+  enter:((unit -> 'a * int) -> unit) ->
+  (unit -> 'a) ->
+  (unit -> unit) ->
+  unit
+(** [crossing_window sp mu ~component ~owner ~extra_tramp ~enter step]
+    is one Scenario 2 ff_* window of [owner]'s [step], applied to the
+    continuation that runs once the lock is released: acquire [mu],
+    trampoline into cVM1 and run [step], hold the lock for the
+    trampoline (plus [extra_tramp] more round trips), the uncontended
+    lock cost, a fixed app cost and the per-packet cost of each frame
+    the step transmitted, then release. [enter] runs the locked part in
+    [owner]'s compartment (its fault context or a supervisor's trap
+    boundary); the part returns the step's result and its TX frames.
+    The hold is profiled as [component]/[owner]/[step_hold]. *)
 
 val build_dual_port :
   ?cheri:bool ->
@@ -83,8 +121,9 @@ val build_dual_port :
 
     [supervise] is called with the topology's engine (so supervisor
     restarts run on the run's clock) and places each DUT cVM's loop
-    under the returned supervisor's trap boundary (behaviour without it
-    is bit-identical to before);
+    under the returned supervisor's trap boundary (the loop and its
+    schedule are unchanged, so a supervisor that sees no fault leaves
+    the run bit-identical);
     [app_hook] runs inside the compartment at the top of each
     iteration's application step — the chaos engine's fault-injection
     point. *)

@@ -111,16 +111,12 @@ let trampoline t ?(flow = None) ~into f =
      context; restored even when the body traps. The open crossing is
      what lets the confinement checker explain the callee touching the
      caller's buffers (e.g. cVM2's app buffer inside cVM1's stack). *)
-  let saved = Cheri.Fault.current_context () in
-  note_crossing t ~caller:saved;
-  Cheri.Provenance.crossing_begin ~from_cvm:saved ~into:(Cvm.name into);
-  Cheri.Fault.set_context (Cvm.name into);
+  let caller = Cheri.Fault.current_context () in
+  note_crossing t ~caller;
+  Cheri.Provenance.crossing_begin ~from_cvm:caller ~into:(Cvm.name into);
   let result =
-    Fun.protect
-      ~finally:(fun () ->
-        Cheri.Fault.set_context saved;
-        Cheri.Provenance.crossing_end ())
-      f
+    Fun.protect ~finally:Cheri.Provenance.crossing_end (fun () ->
+        Cheri.Fault.with_context (Cvm.name into) f)
   in
   (result, trampoline_cost_ns t)
 

@@ -257,11 +257,8 @@ let rec handle_fault t e fault =
 and attempt_restart t e =
   set_state t e Restarting;
   e.e_restarts <- e.e_restarts + 1;
-  let saved = Cheri.Fault.current_context () in
-  Cheri.Fault.set_context e.e_name;
-  match e.e_restart_fn () with
+  match Cheri.Fault.with_context e.e_name e.e_restart_fn with
   | () ->
-    Cheri.Fault.set_context saved;
     (* Re-endow: the quarantine revocations are lifted so post-restart
        exercises of the compartment's own capabilities are clean. *)
     ignore
@@ -272,22 +269,15 @@ and attempt_restart t e =
     Dsim.Metrics.observe e.e_recovery
       (Dsim.Time.to_float_ns (Dsim.Time.sub now e.e_trapped_at));
     set_state t e Running
-  | exception Cheri.Fault.Capability_fault fault ->
-    Cheri.Fault.set_context saved;
-    handle_fault t e fault
+  | exception Cheri.Fault.Capability_fault fault -> handle_fault t e fault
 
 let run t ~cvm f =
   let e = entry t cvm in
   match e.e_state with
   | Running -> (
-    let saved = Cheri.Fault.current_context () in
-    Cheri.Fault.set_context e.e_name;
-    match f () with
-    | v ->
-      Cheri.Fault.set_context saved;
-      Done v
+    match Cheri.Fault.with_context e.e_name f with
+    | v -> Done v
     | exception Cheri.Fault.Capability_fault fault ->
-      Cheri.Fault.set_context saved;
       handle_fault t e fault;
       Faulted fault)
   | s -> Refused s

@@ -26,8 +26,9 @@ type t = {
 
 let policy_label = function Barging -> "barging" | Fifo -> "fifo"
 
-let create engine ?(policy = Barging) ?(uncontended_ns = 75.) ?(wake_ns = 350.)
-    () =
+let create engine ?(policy = Barging)
+    ?(uncontended_ns = Dsim.Cost_model.default.mutex_uncontended_ns)
+    ?(wake_ns = Dsim.Cost_model.default.umtx_wake_ns) () =
   let labels = [ ("policy", policy_label policy) ] in
   {
     engine;

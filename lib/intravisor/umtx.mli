@@ -23,6 +23,8 @@ val create :
   ?wake_ns:float ->
   unit ->
   t
+(** [uncontended_ns] and [wake_ns] default to {!Dsim.Cost_model.default}'s
+    [mutex_uncontended_ns] and [umtx_wake_ns]. *)
 
 val policy : t -> policy
 

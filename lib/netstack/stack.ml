@@ -146,6 +146,7 @@ type t = {
   mutable loops : int;
   mutable running : bool;
   mutable idle_streak : int;
+  mutable live_peak : int;
   mutable ping_replies : (int * int) list;
   mutable hook : (t -> unit) option;
   mutable capture : Capture.t option;
@@ -194,6 +195,7 @@ let create engine mem dev config =
     loops = 0;
     running = false;
     idle_streak = 0;
+    live_peak = 0;
     ping_replies = [];
     hook = None;
     capture = None;
@@ -209,6 +211,7 @@ let now t = Dsim.Engine.now t.engine
 let counters t = t.counters
 let loops t = t.loops
 let live_sockets t = Socket.live_count t.table
+let live_sockets_peak t = t.live_peak
 
 let tcp_sock_of_fd t fd =
   match Socket.find t.table fd with Some (Socket.Tcp s) -> Some s | _ -> None
@@ -853,6 +856,8 @@ let loop_once t =
   service_tcp t;
   service_arp t;
   (match t.hook with Some h -> h t | None -> ());
+  let live = Socket.live_count t.table in
+  if live > t.live_peak then t.live_peak <- live;
   let tx_delta = t.counters.tx_frames - tx_before in
   let busy = n + tx_delta in
   if busy > 0 then t.idle_streak <- 0 else t.idle_streak <- t.idle_streak + 1;
@@ -861,12 +866,21 @@ let loop_once t =
 
 let stop t = t.running <- false
 
-let start ?hook t =
+let start ?hook ?enter t =
   (match hook with Some _ -> t.hook <- hook | None -> ());
   t.running <- true;
   let rec iterate () =
     if t.running then begin
-      let work_ns = loop_once t in
+      let work_ns =
+        match enter with
+        | None -> loop_once t
+        | Some enter -> (
+          match enter (fun () -> loop_once t) with
+          | Some work_ns -> work_ns
+          | None ->
+            t.idle_streak <- t.idle_streak + 1;
+            0.)
+      in
       let gap =
         if t.idle_streak = 0 then t.config.loop_gap
         else begin

@@ -60,10 +60,17 @@ val loop_once : t -> float
 (** One poll iteration (including the hook); returns the CPU
     nanoseconds it consumed (the Scenario 2 mutex hold time). *)
 
-val start : ?hook:(t -> unit) -> t -> unit
+val start :
+  ?hook:(t -> unit) -> ?enter:((unit -> float) -> float option) -> t -> unit
 (** Self-driving loop: each iteration is an engine event; the next one
     fires after the iteration's CPU cost plus the (possibly backed-off)
-    gap. [hook], when given, replaces any hook set via {!set_hook}. *)
+    gap. [hook], when given, replaces any hook set via {!set_hook}.
+
+    [enter], when given, is the compartment entry each iteration runs
+    through (a supervisor's trap boundary): it runs the iteration and
+    returns its CPU cost, or [None] when the iteration did not complete
+    (the compartment is down, or it trapped). Such an iteration counts
+    as an idle poll, so retries follow the same idle backoff. *)
 
 val stop : t -> unit
 val loops : t -> int
@@ -129,6 +136,11 @@ type counters = {
 
 val counters : t -> counters
 val live_sockets : t -> int
+
+val live_sockets_peak : t -> int
+(** High-water mark of {!live_sockets}, sampled at the end of each
+    loop iteration. *)
+
 val tcp_sock_of_fd : t -> int -> Socket.tcp_sock option
 (** For tests and the measurement harness. *)
 

@@ -333,23 +333,8 @@ let arp_negative_cache () =
 (* ------------------------------------------------------------------ *)
 (* Goldens: chaos machinery present but idle changes nothing           *)
 
-let run_dual_port_bytes ~with_idle_chaos =
-  let built =
-    Core.Scenarios.build_dual_port ~direction:Core.Scenarios.Dut_receives ()
-  in
-  if with_idle_chaos then begin
-    let ch = Dsim.Chaos.create ~seed:42L in
-    (* Rates zero and disarmed: every lottery must return Pass. *)
-    List.iter
-      (fun link ->
-        Nic.Link.set_tamper link
-          (Some
-             (fun ~now ~ipv4 ~len ->
-               Dsim.Chaos.frame_opportunity ch
-                 ~at_ns:(Dsim.Time.to_float_ns now)
-                 ~ipv4 ~len ~target:"idle")))
-      built.Core.Scenarios.links
-  end;
+(* Per-flow bytes and engine events of 10 ms of a topology. *)
+let run_bytes_events (built : Core.Scenarios.built) =
   Dsim.Engine.run ~until:(Dsim.Time.ms 10) built.Core.Scenarios.engine;
   let bytes =
     List.map
@@ -357,7 +342,24 @@ let run_dual_port_bytes ~with_idle_chaos =
       built.Core.Scenarios.flows
   in
   built.Core.Scenarios.stop ();
-  bytes
+  (bytes, Dsim.Engine.events_fired built.Core.Scenarios.engine)
+
+let with_idle_chaos (built : Core.Scenarios.built) =
+  let ch = Dsim.Chaos.create ~seed:42L in
+  (* Rates zero and disarmed: every lottery must return Pass. *)
+  List.iter
+    (fun link ->
+      Nic.Link.set_tamper link
+        (Some
+           (fun ~now ~ipv4 ~len ->
+             Dsim.Chaos.frame_opportunity ch
+               ~at_ns:(Dsim.Time.to_float_ns now)
+               ~ipv4 ~len ~target:"idle")))
+    built.Core.Scenarios.links;
+  built
+
+(* A supervisor that never sees a fault. *)
+let idle_supervisor engine = Capvm.Supervisor.create engine ~seed:42L ()
 
 let idle_chaos_bit_identical () =
   let was = Dsim.Flowtrace.enabled Dsim.Flowtrace.default in
@@ -365,14 +367,36 @@ let idle_chaos_bit_identical () =
   Fun.protect
     ~finally:(fun () -> Dsim.Flowtrace.set_enabled Dsim.Flowtrace.default was)
     (fun () ->
-      let plain = run_dual_port_bytes ~with_idle_chaos:false in
-      let idle = run_dual_port_bytes ~with_idle_chaos:true in
-      Alcotest.(check (list (pair string int)))
-        "per-flow bytes unchanged by idle chaos" plain idle;
+      let same name build_plain build_idle =
+        let plain_bytes, plain_events = run_bytes_events (build_plain ()) in
+        let idle_bytes, idle_events = run_bytes_events (build_idle ()) in
+        Alcotest.(check (list (pair string int)))
+          (name ^ ": per-flow bytes unchanged") plain_bytes idle_bytes;
+        Alcotest.(check int)
+          (name ^ ": events fired unchanged") plain_events idle_events;
+        List.iter
+          (fun (_, b) ->
+            Alcotest.(check bool) (name ^ ": flows actually ran") true (b > 0))
+          plain_bytes
+      in
+      let dual ?supervise () =
+        Core.Scenarios.build_dual_port ?supervise
+          ~direction:Core.Scenarios.Dut_receives ()
+      in
+      same "dual-port, idle chaos" dual (fun () -> with_idle_chaos (dual ()));
+      same "dual-port, idle supervisor" dual (fun () ->
+          dual ~supervise:idle_supervisor ());
       List.iter
-        (fun (_, b) ->
-          Alcotest.(check bool) "flows actually ran" true (b > 0))
-        plain)
+        (fun (policy, lock_policy) ->
+          let s2 ?supervise () =
+            Core.Scenarios.build_scenario2 ~contended:true ~lock_policy
+              ?supervise ~direction:Core.Scenarios.Dut_sends ()
+          in
+          same
+            ("contended S2 " ^ policy ^ ", idle supervisor")
+            s2
+            (fun () -> s2 ~supervise:idle_supervisor ()))
+        [ ("barging", Capvm.Umtx.Barging); ("fifo", Capvm.Umtx.Fifo) ])
 
 (* ------------------------------------------------------------------ *)
 (* The blast-radius harness                                            *)

@@ -125,7 +125,27 @@ let fleet_deterministic () =
     (Dsim.Json.to_string b.Core.Fleet.r_json);
   let c = Core.Fleet.run ~profile:tiny ~seed:7L () in
   Alcotest.(check bool) "seed steers the workload" false
-    (String.equal a.Core.Fleet.r_text c.Core.Fleet.r_text)
+    (String.equal a.Core.Fleet.r_text c.Core.Fleet.r_text);
+  (* Pinned golden: refactoring the tenant and stack drivers must not
+     move the run. *)
+  Alcotest.(check (list (pair string int)))
+    "tiny seed-42 result pinned"
+    [
+      ("flows", 26);
+      ("bytes", 270675);
+      ("crossings", 310);
+      ("packets", 136);
+      ("live_socks_peak", 34);
+      ("events", 15884);
+    ]
+    [
+      ("flows", a.Core.Fleet.r_flows);
+      ("bytes", a.Core.Fleet.r_bytes);
+      ("crossings", a.Core.Fleet.r_crossings);
+      ("packets", a.Core.Fleet.r_packets);
+      ("live_socks_peak", a.Core.Fleet.r_live_socks_peak);
+      ("events", a.Core.Fleet.r_events);
+    ]
 
 let fleet_gates_pass () =
   let r = Core.Fleet.run ~profile:tiny ~seed:42L () in
