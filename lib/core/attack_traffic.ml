@@ -95,21 +95,9 @@ let window p =
 (* Raw header construction, deliberately independent of the stack's own
    builders: the attacker controls every byte, and the well-formed
    parts (checksums over lying fields) must be computed over exactly
-   what is on the wire. *)
-
-let set8 b off v = Bytes.set b off (Char.chr (v land 0xff))
-
-let set16 b off v =
-  set8 b off (v lsr 8);
-  set8 b (off + 1) v
-
-let set32 b off v =
-  set16 b off ((v lsr 16) land 0xffff);
-  set16 b (off + 2) (v land 0xffff)
-
-let write_ip b off ip =
-  let v = Int32.to_int (Netstack.Ipv4_addr.to_int32 ip) land 0xffffffff in
-  set32 b off v
+   what is on the wire. Caller-supplied field values are masked to
+   their width explicitly, so an out-of-range value is truncated on the
+   wire rather than spilling into the next field. *)
 
 type forge = {
   fg_dst_mac : string;  (** 6 raw bytes: the victim port's MAC. *)
@@ -125,7 +113,7 @@ let eth_frame fg len =
   let b = Bytes.make len '\000' in
   Bytes.blit_string fg.fg_dst_mac 0 b 0 6;
   Bytes.blit_string fg.fg_src_mac 0 b 6 6;
-  set16 b 12 0x0800;
+  Bytes.set_uint16_be b 12 0x0800;
   b
 
 (* IPv4 header at offset 14. The checksum is computed last, over the
@@ -136,16 +124,16 @@ let ipv4_at b ?(src = Netstack.Ipv4_addr.any) ?(dst = Netstack.Ipv4_addr.any)
   let total_len =
     match total_len with Some l -> l | None -> Bytes.length b - 14
   in
-  set8 b 14 vihl;
-  set16 b 16 total_len;
-  set16 b 18 0x2bad (* ident *);
-  set16 b 20 frag;
-  set8 b 22 64 (* ttl *);
-  set8 b 23 proto;
-  write_ip b 26 src;
-  write_ip b 30 dst;
-  set16 b 24 0;
-  set16 b 24 (Netstack.Checksum.compute b ~off:14 ~len:20)
+  Bytes.set_uint8 b 14 (vihl land 0xff);
+  Bytes.set_uint16_be b 16 (total_len land 0xffff);
+  Bytes.set_uint16_be b 18 0x2bad (* ident *);
+  Bytes.set_uint16_be b 20 (frag land 0xffff);
+  Bytes.set_uint8 b 22 64 (* ttl *);
+  Bytes.set_uint8 b 23 (proto land 0xff);
+  Netstack.Ipv4_addr.write b 26 src;
+  Netstack.Ipv4_addr.write b 30 dst;
+  Bytes.set_uint16_be b 24 0;
+  Bytes.set_uint16_be b 24 (Netstack.Checksum.compute b ~off:14 ~len:20)
 
 let f_fin = 0x01
 let f_syn = 0x02
@@ -160,18 +148,19 @@ let tcp_frame fg ~src_port ~dst_port ~seq ~ack_seq ~flags
   let tcp_len = (data_words * 4) + payload_len in
   let b = eth_frame fg (34 + tcp_len) in
   ipv4_at b ~src:fg.fg_src_ip ~dst:fg.fg_dst_ip ~proto:6 ();
-  set16 b 34 src_port;
-  set16 b 36 dst_port;
-  set32 b 38 seq;
-  set32 b 42 ack_seq;
-  set8 b 46 (data_words lsl 4);
-  set8 b 47 flags;
-  set16 b 48 4096 (* window *);
+  Bytes.set_uint16_be b 34 (src_port land 0xffff);
+  Bytes.set_uint16_be b 36 (dst_port land 0xffff);
+  Bytes.set_int32_be b 38 (Int32.of_int seq);
+  Bytes.set_int32_be b 42 (Int32.of_int ack_seq);
+  Bytes.set_uint8 b 46 ((data_words lsl 4) land 0xff);
+  Bytes.set_uint8 b 47 (flags land 0xff);
+  Bytes.set_uint16_be b 48 4096 (* window *);
   let sum =
     Netstack.Ipv4.pseudo_header_sum ~src:fg.fg_src_ip ~dst:fg.fg_dst_ip
       ~protocol:Netstack.Ipv4.Tcp ~len:tcp_len
   in
-  set16 b 50 (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:tcp_len);
+  Bytes.set_uint16_be b 50
+    (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:tcp_len);
   b
 
 (* UDP frame; checksum 0 = "not computed" (legal for UDP/IPv4), so the
@@ -179,10 +168,10 @@ let tcp_frame fg ~src_port ~dst_port ~seq ~ack_seq ~flags
 let udp_frame fg ~src_port ~dst_port ~udp_len ~payload_len =
   let b = eth_frame fg (42 + payload_len) in
   ipv4_at b ~src:fg.fg_src_ip ~dst:fg.fg_dst_ip ~proto:17 ();
-  set16 b 34 src_port;
-  set16 b 36 dst_port;
-  set16 b 38 udp_len;
-  set16 b 40 0;
+  Bytes.set_uint16_be b 34 (src_port land 0xffff);
+  Bytes.set_uint16_be b 36 (dst_port land 0xffff);
+  Bytes.set_uint16_be b 38 (udp_len land 0xffff);
+  Bytes.set_uint16_be b 40 0;
   b
 
 (* ------------------------------------------------------------------ *)
@@ -220,12 +209,12 @@ let parser_corpus rng fg =
   in
   let arp_runt =
     let b = eth_frame fg 24 in
-    set16 b 12 0x0806;
+    Bytes.set_uint16_be b 12 0x0806;
     b
   in
   let ipv4_trunc =
     let b = eth_frame fg 24 in
-    set8 b 14 0x45;
+    Bytes.set_uint8 b 14 0x45;
     b
   in
   let bad_ihl =
@@ -248,7 +237,7 @@ let parser_corpus rng fg =
   in
   let ip_bad_csum =
     let b = plain_tcp () in
-    set16 b 24 0xdead;
+    Bytes.set_uint16_be b 24 0xdead;
     b
   in
   let fragment =
@@ -260,8 +249,8 @@ let parser_corpus rng fg =
     (* IP says 8 bytes of TCP; the TCP parser needs 20. *)
     let b = eth_frame fg 42 in
     ipv4_at b ~src:fg.fg_src_ip ~dst:fg.fg_dst_ip ~proto:6 ();
-    set16 b 34 (sp ());
-    set16 b 36 5201;
+    Bytes.set_uint16_be b 34 (sp () land 0xffff);
+    Bytes.set_uint16_be b 36 5201;
     b
   in
   let tcp_bad_data_off =
@@ -269,16 +258,17 @@ let parser_corpus rng fg =
        checksum is valid over the bytes actually present. *)
     let b = eth_frame fg 54 in
     ipv4_at b ~src:fg.fg_src_ip ~dst:fg.fg_dst_ip ~proto:6 ();
-    set16 b 34 (sp ());
-    set16 b 36 5201;
-    set32 b 38 (rand_seq rng);
-    set8 b 46 (15 lsl 4);
-    set8 b 47 f_syn;
+    Bytes.set_uint16_be b 34 (sp () land 0xffff);
+    Bytes.set_uint16_be b 36 5201;
+    Bytes.set_int32_be b 38 (Int32.of_int (rand_seq rng));
+    Bytes.set_uint8 b 46 (15 lsl 4);
+    Bytes.set_uint8 b 47 f_syn;
     let sum =
       Netstack.Ipv4.pseudo_header_sum ~src:fg.fg_src_ip ~dst:fg.fg_dst_ip
         ~protocol:Netstack.Ipv4.Tcp ~len:20
     in
-    set16 b 50 (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:20);
+    Bytes.set_uint16_be b 50
+      (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:20);
     b
   in
   let tcp_opt_overflow =
@@ -286,19 +276,20 @@ let parser_corpus rng fg =
     let b = tcp_frame fg ~src_port:(sp ()) ~dst_port:5201 ~seq:(rand_seq rng)
         ~ack_seq:0 ~flags:f_syn ~data_words:6 ()
     in
-    set8 b 54 2;
-    set8 b 55 44;
+    Bytes.set_uint8 b 54 2;
+    Bytes.set_uint8 b 55 44;
     let sum =
       Netstack.Ipv4.pseudo_header_sum ~src:fg.fg_src_ip ~dst:fg.fg_dst_ip
         ~protocol:Netstack.Ipv4.Tcp ~len:24
     in
-    set16 b 50 0;
-    set16 b 50 (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:24);
+    Bytes.set_uint16_be b 50 0;
+    Bytes.set_uint16_be b 50
+      (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:24);
     b
   in
   let tcp_bad_csum =
     let b = plain_tcp () in
-    set16 b 50 0xbeef;
+    Bytes.set_uint16_be b 50 0xbeef;
     b
   in
   let udp_trunc =
@@ -389,8 +380,9 @@ let syn_flood rng fg ~server_port ~n =
           Netstack.Ipv4.pseudo_header_sum ~src:forged_src ~dst:fg.fg_dst_ip
             ~protocol:Netstack.Ipv4.Tcp ~len:20
         in
-        set16 b 50 0;
-        set16 b 50 (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:20);
+        Bytes.set_uint16_be b 50 0;
+        Bytes.set_uint16_be b 50
+          (Netstack.Checksum.compute ~init:sum b ~off:34 ~len:20);
         b)
   in
   {

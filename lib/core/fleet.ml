@@ -5,6 +5,8 @@
    but the per-tenant rollup: who got what, at which percentile, paid
    for by how many compartment crossings. *)
 
+module Ff = Netstack.Ff_api
+
 type profile = {
   p_name : string;
   p_tenants : int;
@@ -100,7 +102,7 @@ type srv_conn = {
 }
 
 type server = {
-  sv_api : Iperf.api;
+  sv_ff : Ff.t;
   sv_mem : Cheri.Tagged_memory.t;
   sv_rbuf : Cheri.Capability.t;
   sv_wbuf : Cheri.Capability.t;
@@ -113,18 +115,18 @@ let sv_get = function
   | Ok v -> v
   | Error e -> invalid_arg ("fleet server setup: " ^ Netstack.Errno.to_string e)
 
-let make_server api ~mem ~rbuf ~wbuf ~tenants =
-  let epfd = sv_get (api.Iperf.epoll_create ()) in
+let make_server ff ~mem ~rbuf ~wbuf ~tenants =
+  let epfd = sv_get (Ff.ff_epoll_create ff) in
   let listeners = Hashtbl.create (2 * tenants) in
   for i = 0 to tenants - 1 do
-    let lfd = sv_get (api.Iperf.socket ()) in
-    sv_get (api.Iperf.bind lfd ~port:(port_base + i));
-    sv_get (api.Iperf.listen lfd ~backlog:8);
-    sv_get (api.Iperf.epoll_ctl ~epfd ~op:`Add ~fd:lfd Netstack.Epoll.epollin);
+    let lfd = sv_get (Ff.ff_socket ff) in
+    sv_get (Ff.ff_bind ff lfd ~port:(port_base + i));
+    sv_get (Ff.ff_listen ff lfd ~backlog:8);
+    sv_get (Ff.ff_epoll_ctl ff ~epfd ~op:`Add ~fd:lfd Netstack.Epoll.epollin);
     Hashtbl.replace listeners lfd ()
   done;
   {
-    sv_api = api;
+    sv_ff = ff;
     sv_mem = mem;
     sv_rbuf = rbuf;
     sv_wbuf = wbuf;
@@ -134,8 +136,8 @@ let make_server api ~mem ~rbuf ~wbuf ~tenants =
   }
 
 let server_drop sv c =
-  ignore (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Del ~fd:c.sc_fd 0);
-  ignore (sv.sv_api.Iperf.close c.sc_fd);
+  ignore (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Del ~fd:c.sc_fd 0);
+  ignore (Ff.ff_close sv.sv_ff c.sc_fd);
   Hashtbl.remove sv.sv_conns c.sc_fd
 
 (* Push response bytes; on backpressure leave EPOLLOUT armed and come
@@ -145,7 +147,7 @@ let server_write sv c =
   let rec go n =
     if c.sc_resp_left > 0 && n < 32 then begin
       let nbytes = min wlen c.sc_resp_left in
-      match sv.sv_api.Iperf.write c.sc_fd ~buf:sv.sv_wbuf ~nbytes with
+      match Ff.ff_write sv.sv_ff c.sc_fd ~buf:sv.sv_wbuf ~nbytes with
       | Ok sent ->
         c.sc_resp_left <- c.sc_resp_left - sent;
         if sent = nbytes then go (n + 1) else arm ()
@@ -155,14 +157,14 @@ let server_write sv c =
     else if c.sc_resp_left = 0 && c.sc_writing then begin
       c.sc_writing <- false;
       ignore
-        (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
+        (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
            Netstack.Epoll.epollin)
     end
   and arm () =
     if not c.sc_writing then begin
       c.sc_writing <- true;
       ignore
-        (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
+        (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Mod ~fd:c.sc_fd
            Netstack.Epoll.(epollin lor epollout))
     end
   in
@@ -191,7 +193,7 @@ let server_read sv c =
   let nbytes = Cheri.Capability.length sv.sv_rbuf in
   let rec go n =
     if n < 32 then
-      match sv.sv_api.Iperf.read c.sc_fd ~buf:sv.sv_rbuf ~nbytes with
+      match Ff.ff_read sv.sv_ff c.sc_fd ~buf:sv.sv_rbuf ~nbytes with
       | Ok 0 -> server_drop sv c
       | Ok got ->
         server_feed sv c got;
@@ -202,17 +204,17 @@ let server_read sv c =
   go 0
 
 let server_step sv =
-  match sv.sv_api.Iperf.epoll_wait ~epfd:sv.sv_epfd ~max:64 with
+  match Ff.ff_epoll_wait sv.sv_ff ~epfd:sv.sv_epfd ~max:64 with
   | Error _ -> ()
   | Ok events ->
     List.iter
       (fun (fd, ev) ->
         if Hashtbl.mem sv.sv_listeners fd then begin
           let rec accept_all () =
-            match sv.sv_api.Iperf.accept fd with
+            match Ff.ff_accept sv.sv_ff fd with
             | Ok (cfd, _ip, _port) ->
               ignore
-                (sv.sv_api.Iperf.epoll_ctl ~epfd:sv.sv_epfd ~op:`Add ~fd:cfd
+                (Ff.ff_epoll_ctl sv.sv_ff ~epfd:sv.sv_epfd ~op:`Add ~fd:cfd
                    Netstack.Epoll.epollin);
               Hashtbl.replace sv.sv_conns cfd
                 {
@@ -292,16 +294,16 @@ let cl_get = function
   | Error e -> invalid_arg ("fleet client: " ^ Netstack.Errno.to_string e)
 
 let client_drop f tn af ~failed =
-  let api = Iperf.api_of_ff f.f_sp.Scenarios.sp_dnif.Topology.ff in
-  ignore (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Del ~fd:af.af_fd 0);
-  ignore (api.Iperf.close af.af_fd);
+  let ff = f.f_sp.Scenarios.sp_dnif.Topology.ff in
+  ignore (Ff.ff_epoll_ctl ff ~epfd:tn.tn_epfd ~op:`Del ~fd:af.af_fd 0);
+  ignore (Ff.ff_close ff af.af_fd);
   tn.tn_active <- List.filter (fun a -> a.af_fd <> af.af_fd) tn.tn_active;
   if failed then tn.tn_failed <- tn.tn_failed + 1
 
 (* Send request bytes. The header prefix must survive short writes, so
    while [af_sent < header_len] each write re-stages the unsent header
    remainder at the buffer base (body bytes are arbitrary padding). *)
-let client_send f api tn af =
+let client_send f ff tn af =
   let mem = Topology.node_mem f.f_sp.Scenarios.sp_dut in
   let blen = Cheri.Capability.length tn.tn_buf in
   let base = Cheri.Capability.base tn.tn_buf in
@@ -311,7 +313,7 @@ let client_send f api tn af =
         Cheri.Tagged_memory.store_bytes mem ~cap:tn.tn_buf ~addr:base
           (Bytes.sub af.af_hdr af.af_sent (header_len - af.af_sent));
       let nbytes = min blen (af.af_spec.fs_req - af.af_sent) in
-      match api.Iperf.write af.af_fd ~buf:tn.tn_buf ~nbytes with
+      match Ff.ff_write ff af.af_fd ~buf:tn.tn_buf ~nbytes with
       | Ok sent ->
         af.af_sent <- af.af_sent + sent;
         if sent = nbytes then go (n + 1)
@@ -327,7 +329,7 @@ let client_send f api tn af =
   then begin
     af.af_sending <- false;
     ignore
-      (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Mod ~fd:af.af_fd
+      (Ff.ff_epoll_ctl ff ~epfd:tn.tn_epfd ~op:`Mod ~fd:af.af_fd
          Netstack.Epoll.epollin)
   end
 
@@ -343,11 +345,11 @@ let client_complete f tn af =
   Dsim.Tenancy.note_flow f.f_obs ~tenant:tn.tn_name ~bytes ~fct_ns;
   client_drop f tn af ~failed:false
 
-let client_recv f api tn af =
+let client_recv f ff tn af =
   let nbytes = Cheri.Capability.length tn.tn_buf in
   let rec go n =
     if n < 16 then
-      match api.Iperf.read af.af_fd ~buf:tn.tn_buf ~nbytes with
+      match Ff.ff_read ff af.af_fd ~buf:tn.tn_buf ~nbytes with
       | Ok 0 -> client_drop f tn af ~failed:true
       | Ok got ->
         af.af_rcvd <- af.af_rcvd + got;
@@ -361,7 +363,7 @@ let client_recv f api tn af =
 (* One mutex-held, trampolined application window: admit queued flows up
    to the concurrency cap, then service whatever epoll reports. Returns
    whether the window made progress, which drives the poll backoff. *)
-let tenant_body f ~conc api tn =
+let tenant_body f ~conc ff tn =
   let peer_ip = Netstack.Stack.ip f.f_sp.Scenarios.sp_pnif.Topology.stack in
   let started = ref false in
   while
@@ -369,14 +371,14 @@ let tenant_body f ~conc api tn =
   do
     started := true;
     let spec = Queue.pop tn.tn_queue in
-    let fd = cl_get (api.Iperf.socket ()) in
+    let fd = cl_get (Ff.ff_socket ff) in
     (match
-       api.Iperf.connect fd ~ip:peer_ip ~port:(port_base + tn.tn_idx)
+       Ff.ff_connect ff fd ~ip:peer_ip ~port:(port_base + tn.tn_idx)
      with
     | Ok () | Error Netstack.Errno.EINPROGRESS -> ()
     | Error _ -> ());
     cl_get
-      (api.Iperf.epoll_ctl ~epfd:tn.tn_epfd ~op:`Add ~fd
+      (Ff.ff_epoll_ctl ff ~epfd:tn.tn_epfd ~op:`Add ~fd
          Netstack.Epoll.epollout);
     tn.tn_active <-
       tn.tn_active
@@ -391,7 +393,7 @@ let tenant_body f ~conc api tn =
           };
         ]
   done;
-  match api.Iperf.epoll_wait ~epfd:tn.tn_epfd ~max:(2 * conc) with
+  match Ff.ff_epoll_wait ff ~epfd:tn.tn_epfd ~max:(2 * conc) with
   | Error _ -> !started
   | Ok events ->
     List.iter
@@ -405,11 +407,11 @@ let tenant_body f ~conc api tn =
           then client_drop f tn af ~failed:true
           else begin
             if Netstack.Epoll.has ev Netstack.Epoll.epollout then
-              client_send f api tn af;
+              client_send f ff tn af;
             if
               Netstack.Epoll.has ev Netstack.Epoll.epollin
               && List.memq af tn.tn_active
-            then client_recv f api tn af
+            then client_recv f ff tn af
           end)
       events;
     !started || events <> []
@@ -428,7 +430,7 @@ let tenant_body f ~conc api tn =
 let backoff_cap = 32
 let tenant_driver f ~profile tn =
   let engine = f.f_sp.Scenarios.sp_engine in
-  let api = Iperf.api_of_ff f.f_sp.Scenarios.sp_dnif.Topology.ff in
+  let ff = f.f_sp.Scenarios.sp_dnif.Topology.ff in
   let enter body =
     let progress, tx_delta = Cheri.Fault.with_context tn.tn_name body in
     tn.tn_tx_frames <- tn.tn_tx_frames + tx_delta;
@@ -438,7 +440,7 @@ let tenant_driver f ~profile tn =
   let window =
     Scenarios.crossing_window f.f_sp f.f_mutex ~component:"fleet"
       ~owner:tn.tn_name ~extra_tramp:0 ~enter (fun () ->
-        tenant_body f ~conc:profile.p_concurrency api tn)
+        tenant_body f ~conc:profile.p_concurrency ff tn)
   in
   let k_step =
     Dsim.Profile.(key default) ~component:"fleet" ~cvm:tn.tn_name ~stage:"step"
@@ -525,7 +527,7 @@ let build ~profile ~tenants ~seed =
   let mutex = Scenarios.s2_mutex sp ~policy:Capvm.Umtx.Fifo in
   let dut = sp.Scenarios.sp_dut and peer_cvm = sp.Scenarios.sp_peer_cvm in
   let iv = Topology.intravisor dut in
-  let dut_api = Iperf.api_of_ff sp.Scenarios.sp_dnif.Topology.ff in
+  let dut_ff = sp.Scenarios.sp_dnif.Topology.ff in
   let root_rng = Dsim.Rng.create ~seed in
   let tenant_arr =
     Array.init tenants (fun i ->
@@ -541,7 +543,7 @@ let build ~profile ~tenants ~seed =
           tn_name = Capvm.Cvm.name cvm;
           tn_buf = buf;
           tn_rng = Dsim.Rng.split root_rng;
-          tn_epfd = cl_get (dut_api.Iperf.epoll_create ());
+          tn_epfd = cl_get (Ff.ff_epoll_create dut_ff);
           tn_queue = Queue.create ();
           tn_active = [];
           tn_polling = false;
@@ -564,10 +566,10 @@ let build ~profile ~tenants ~seed =
     }
   in
   (* Peer: server farm inside the load generator's stack loop. *)
-  let peer_api = Iperf.api_of_ff sp.Scenarios.sp_pnif.Topology.ff in
+  let peer_ff = sp.Scenarios.sp_pnif.Topology.ff in
   let peer_mem = Topology.node_mem sp.Scenarios.sp_peer in
   let sv =
-    make_server peer_api ~mem:peer_mem
+    make_server peer_ff ~mem:peer_mem
       ~rbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~wbuf:(Capvm.Cvm.calloc peer_cvm peer_mem server_buf_size)
       ~tenants

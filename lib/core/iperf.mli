@@ -1,57 +1,24 @@
 (** iperf3-style bandwidth application, ported to the ff_* API + epoll
     (exactly the adaptation the paper performed on iperf3).
 
-    The application is expressed against an {!api} record rather than
-    {!Netstack.Ff_api} directly, because the *same* application code
-    runs in three bindings:
-    - Baseline / Scenario 1: direct ff_* calls (app and stack share a
-      protection domain);
-    - Scenario 2: every call is wrapped by a cross-cVM trampoline plus
-      the shared F-Stack mutex (see {!Scenario2}).
-
-    Both sides are non-blocking state machines advanced by [*_step],
-    which is called from whatever loop owns the app (the F-Stack loop
-    hook, or a dedicated cVM thread). *)
-
-type api = {
-  socket : unit -> (int, Netstack.Errno.t) result;
-  bind : int -> port:int -> (unit, Netstack.Errno.t) result;
-  listen : int -> backlog:int -> (unit, Netstack.Errno.t) result;
-  accept :
-    int -> (int * Netstack.Ipv4_addr.t * int, Netstack.Errno.t) result;
-  connect :
-    int -> ip:Netstack.Ipv4_addr.t -> port:int -> (unit, Netstack.Errno.t) result;
-  write :
-    int -> buf:Cheri.Capability.t -> nbytes:int -> (int, Netstack.Errno.t) result;
-  read :
-    int -> buf:Cheri.Capability.t -> nbytes:int -> (int, Netstack.Errno.t) result;
-  close : int -> (unit, Netstack.Errno.t) result;
-  epoll_create : unit -> (int, Netstack.Errno.t) result;
-  epoll_ctl :
-    epfd:int -> op:[ `Add | `Mod | `Del ] -> fd:int ->
-    Netstack.Epoll.events -> (unit, Netstack.Errno.t) result;
-  epoll_wait :
-    epfd:int -> max:int ->
-    ((int * Netstack.Epoll.events) list, Netstack.Errno.t) result;
-}
-
-val api_of_ff : Netstack.Ff_api.t -> api
+    Both sides call {!Netstack.Ff_api} directly and are non-blocking
+    state machines advanced by [*_step], called from whatever loop owns
+    the app: the F-Stack loop hook (Baseline, Scenario 1) or an app
+    cVM's driver. In Scenario 2 that driver runs each whole step inside
+    one {!Scenarios.crossing_window}, which charges the trampoline and
+    the shared F-Stack mutex per window, not per call. *)
 
 (** {1 Server (receiver)} *)
 
 type server
 
-val server : api -> buf:Cheri.Capability.t -> port:int -> server
+val server : Netstack.Ff_api.t -> buf:Cheri.Capability.t -> port:int -> server
 (** Sets up listen socket + epoll immediately. [buf] is the receive
     staging buffer (an app-compartment capability). *)
 
 val server_step : server -> unit
-val server_rx_bytes : server -> int
 val server_take_rx : server -> int
 (** Bytes received since the previous call (bandwidth windows). *)
-
-val server_connections : server -> int
-val server_port : server -> int
 
 val server_stop : server -> unit
 (** Close every accepted connection, the listener and the epoll
@@ -63,7 +30,7 @@ val server_stop : server -> unit
 type client
 
 val client :
-  api ->
+  Netstack.Ff_api.t ->
   buf:Cheri.Capability.t ->
   server_ip:Netstack.Ipv4_addr.t ->
   port:int ->
@@ -74,8 +41,6 @@ val client :
 (** [write_size] defaults to the full buffer capability length. *)
 
 val client_step : client -> unit
-val client_connected : client -> bool
-val client_tx_bytes : client -> int
 val client_take_tx : client -> int
 val client_stop : client -> unit
 (** Close the connection (FIN). *)

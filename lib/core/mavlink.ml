@@ -27,26 +27,6 @@ let crc_x25 ?(init = 0xFFFF) b ~off ~len =
   done;
   !crc
 
-let set_u16_le b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff))
-
-let get_u16_le b off =
-  Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-
-let set_u32_le b off v =
-  for i = 0 to 3 do
-    Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-let get_u32_le b off =
-  let byte i = Char.code (Bytes.get b (off + i)) in
-  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-
-(* Signed 16-bit helpers for the attitude centidegrees. *)
-let to_s16 v = v land 0xFFFF
-let of_s16 v = if v land 0x8000 <> 0 then v - 0x10000 else v
-
 let payload_of = function
   | Heartbeat { vehicle_type; autopilot; base_mode; status } ->
     let b = Bytes.create 4 in
@@ -57,16 +37,16 @@ let payload_of = function
     b
   | Attitude { time_ms; roll_cdeg; pitch_cdeg; yaw_cdeg } ->
     let b = Bytes.create 10 in
-    set_u32_le b 0 time_ms;
-    set_u16_le b 4 (to_s16 roll_cdeg);
-    set_u16_le b 6 (to_s16 pitch_cdeg);
-    set_u16_le b 8 (to_s16 yaw_cdeg);
+    Bytes.set_int32_le b 0 (Int32.of_int time_ms);
+    Bytes.set_int16_le b 4 roll_cdeg;
+    Bytes.set_int16_le b 6 pitch_cdeg;
+    Bytes.set_int16_le b 8 yaw_cdeg;
     b
   | Command { command; param1; param2; confirmation } ->
     let b = Bytes.create 7 in
-    set_u16_le b 0 command;
-    set_u16_le b 2 (to_s16 param1);
-    set_u16_le b 4 (to_s16 param2);
+    Bytes.set_uint16_le b 0 command;
+    Bytes.set_int16_le b 2 param1;
+    Bytes.set_int16_le b 4 param2;
     Bytes.set b 6 (Char.chr (confirmation land 0xff));
     b
   | Raw { payload; _ } -> payload
@@ -86,18 +66,19 @@ let message_of ~msgid payload =
     Ok
       (Attitude
          {
-           time_ms = get_u32_le payload 0;
-           roll_cdeg = of_s16 (get_u16_le payload 4);
-           pitch_cdeg = of_s16 (get_u16_le payload 6);
-           yaw_cdeg = of_s16 (get_u16_le payload 8);
+           time_ms =
+             Int32.to_int (Bytes.get_int32_le payload 0) land 0xffff_ffff;
+           roll_cdeg = Bytes.get_int16_le payload 4;
+           pitch_cdeg = Bytes.get_int16_le payload 6;
+           yaw_cdeg = Bytes.get_int16_le payload 8;
          })
   | 76 when Bytes.length payload = 7 ->
     Ok
       (Command
          {
-           command = get_u16_le payload 0;
-           param1 = of_s16 (get_u16_le payload 2);
-           param2 = of_s16 (get_u16_le payload 4);
+           command = Bytes.get_uint16_le payload 0;
+           param1 = Bytes.get_int16_le payload 2;
+           param2 = Bytes.get_int16_le payload 4;
            confirmation = Char.code (Bytes.get payload 6);
          })
   | (0 | 30 | 76) -> Error "mavlink: wrong payload length for message id"
@@ -119,7 +100,8 @@ let encode f =
   Bytes.set b 5 (Char.chr (msgid f.message land 0xff));
   Bytes.blit payload 0 b header_len plen;
   (* CRC covers everything after the magic. *)
-  set_u16_le b (header_len + plen) (crc_x25 b ~off:1 ~len:(header_len - 1 + plen));
+  Bytes.set_uint16_le b (header_len + plen)
+    (crc_x25 b ~off:1 ~len:(header_len - 1 + plen));
   b
 
 let decode b =
@@ -131,7 +113,7 @@ let decode b =
     if header_len + plen + trailer_len > len then
       Error "mavlink: declared length exceeds the buffer"
     else begin
-      let crc = get_u16_le b (header_len + plen) in
+      let crc = Bytes.get_uint16_le b (header_len + plen) in
       if crc <> crc_x25 b ~off:1 ~len:(header_len - 1 + plen) then
         Error "mavlink: bad checksum"
       else begin
@@ -182,7 +164,7 @@ let forge_oversized ~declared_len =
   Bytes.set b 3 (Char.chr 0xBA);
   Bytes.set b 4 (Char.chr 0xD1);
   Bytes.set b 5 '\000';
-  set_u16_le b header_len 0xBEEF (* CRC is never reached *);
+  Bytes.set_uint16_le b header_len 0xBEEF (* CRC is never reached *);
   b
 
 let pp fmt f =

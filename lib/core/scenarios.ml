@@ -109,16 +109,14 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
       in
       let dut_buf = app_buf dcvm (Topology.node_mem dut) in
       let peer_buf = app_buf pcvm (Topology.node_mem peer) in
-      let dut_api = Iperf.api_of_ff dnif.Topology.ff in
-      let peer_api = Iperf.api_of_ff pnif.Topology.ff in
       let label = Printf.sprintf "cVM%d" (i + 1) in
       netifs := dnif :: !netifs;
       cvms := dcvm :: !cvms;
       (match direction with
       | Dut_receives ->
-        let srv = Iperf.server dut_api ~buf:dut_buf ~port:iperf_port in
+        let srv = Iperf.server dnif.Topology.ff ~buf:dut_buf ~port:iperf_port in
         let cli =
-          Iperf.client peer_api ~buf:peer_buf ~server_ip:(ip_dut subnet)
+          Iperf.client pnif.Topology.ff ~buf:peer_buf ~server_ip:(ip_dut subnet)
             ~port:iperf_port ()
         in
         start_dut_stack dcvm dnif (fun _ -> Iperf.server_step srv);
@@ -128,9 +126,9 @@ let build_dual_port ?(cheri = true) ?(seed = 42L) ?supervise ?app_hook
         flows :=
           { label; take_bytes = (fun () -> Iperf.server_take_rx srv) } :: !flows
       | Dut_sends ->
-        let srv = Iperf.server peer_api ~buf:peer_buf ~port:iperf_port in
+        let srv = Iperf.server pnif.Topology.ff ~buf:peer_buf ~port:iperf_port in
         let cli =
-          Iperf.client dut_api ~buf:dut_buf ~server_ip:(ip_peer subnet)
+          Iperf.client dnif.Topology.ff ~buf:dut_buf ~server_ip:(ip_peer subnet)
             ~port:iperf_port ()
         in
         start_dut_stack dcvm dnif (fun _ -> Iperf.client_step cli);
@@ -207,18 +205,18 @@ let single_port_base ?engine ?(stack_tuning = Fun.id) ~seed () =
 (* The peer side of [n] flows: servers when the DUT sends, clients when
    the DUT receives. All peer apps share the peer stack's loop hook. *)
 let peer_apps sp ~direction ~n =
-  let api = Iperf.api_of_ff sp.sp_pnif.Topology.ff in
+  let ff = sp.sp_pnif.Topology.ff in
   let mem = Topology.node_mem sp.sp_peer in
   let steps =
     List.init n (fun i ->
         let buf = app_buf sp.sp_peer_cvm mem in
         match direction with
         | Dut_sends ->
-          let srv = Iperf.server api ~buf ~port:(iperf_port + i) in
+          let srv = Iperf.server ff ~buf ~port:(iperf_port + i) in
           fun () -> Iperf.server_step srv
         | Dut_receives ->
           let cli =
-            Iperf.client api ~buf ~server_ip:(ip_dut 0) ~port:(iperf_port + i)
+            Iperf.client ff ~buf ~server_ip:(ip_dut 0) ~port:(iperf_port + i)
               ()
           in
           fun () -> Iperf.client_step cli)
@@ -236,11 +234,11 @@ let peer_apps sp ~direction ~n =
    fewer useful API slots per lock hand-off. We reproduce that by
    capping the throttled app to one small write per acquisition. *)
 let dut_app sp ~direction ~flow_idx ~app_cvm ?(throttled = false) () =
-  let api = Iperf.api_of_ff sp.sp_dnif.Topology.ff in
+  let ff = sp.sp_dnif.Topology.ff in
   let buf = app_buf app_cvm (Topology.node_mem sp.sp_dut) in
   match direction with
   | Dut_receives ->
-    let srv = Iperf.server api ~buf ~port:(iperf_port + flow_idx) in
+    let srv = Iperf.server ff ~buf ~port:(iperf_port + flow_idx) in
     ( (fun () -> Iperf.server_step srv),
       (fun () -> Iperf.server_take_rx srv),
       fun () -> Iperf.server_stop srv )
@@ -248,7 +246,7 @@ let dut_app sp ~direction ~flow_idx ~app_cvm ?(throttled = false) () =
     let write_size = if throttled then 8192 else app_buffer_size in
     let max_writes_per_step = if throttled then 1 else 16 in
     let cli =
-      Iperf.client api ~buf ~server_ip:(ip_peer 0) ~port:(iperf_port + flow_idx)
+      Iperf.client ff ~buf ~server_ip:(ip_peer 0) ~port:(iperf_port + flow_idx)
         ~write_size ~max_writes_per_step ()
     in
     ( (fun () -> Iperf.client_step cli),

@@ -39,10 +39,10 @@ let node_cost t = t.cost
 let nic t = t.nic
 let port t i = Nic.Igb.port t.nic i
 
-let link engine ?(bps = 1e9) a ai b bi =
+let link engine a ai b bi =
   let cost = a.cost in
   let l =
-    Nic.Link.create engine ~bps
+    Nic.Link.create engine ~bps:cost.Dsim.Cost_model.link_bps
       ~prop_delay:(Dsim.Time.of_float_ns cost.Dsim.Cost_model.prop_delay_ns)
       ()
   in

@@ -32,9 +32,9 @@ val node_cost : node -> Dsim.Cost_model.t
 val nic : node -> Nic.Igb.t
 val port : node -> int -> Nic.Igb.port
 
-val link :
-  Dsim.Engine.t -> ?bps:float -> node -> int -> node -> int -> Nic.Link.t
-(** Cable port [i] of one node to port [j] of another. *)
+val link : Dsim.Engine.t -> node -> int -> node -> int -> Nic.Link.t
+(** Cable port [i] of one node to port [j] of another, at the first
+    node's cost-model line rate and propagation delay. *)
 
 type netif = {
   eal : Dpdk.Eal.t;

@@ -6,10 +6,8 @@ type t = {
   mmu_syscall_extra_ns : float;
   ff_write_fixed_ns : float;
   ff_write_per_byte_ns : float;
-  cap_check_ns : float;
   mutex_uncontended_ns : float;
   umtx_wake_ns : float;
-  stack_loop_work_ns : float;
   stack_loop_gap_ns : float;
   jitter_sigma : float;
   outlier_prob : float;
@@ -30,12 +28,8 @@ let default =
     mmu_syscall_extra_ns = 40.;
     ff_write_fixed_ns = 95.;
     ff_write_per_byte_ns = 0.05;
-    cap_check_ns = 0.;
     mutex_uncontended_ns = 75.;
     umtx_wake_ns = 350.;
-    (* The contended median of ~19 us is half the loop period when an
-       app blocks at a uniformly random phase of the main loop. *)
-    stack_loop_work_ns = 30_000.;
     stack_loop_gap_ns = 8_000.;
     jitter_sigma = 0.04;
     outlier_prob = 0.10;
@@ -47,7 +41,7 @@ let default =
     prop_delay_ns = 500.;
   }
 
-let no_cheri t = { t with tramp_oneway_ns = 0.; cap_check_ns = 0. }
+let no_cheri t = { t with tramp_oneway_ns = 0. }
 
 let scaled_jitter t ~factor =
   {

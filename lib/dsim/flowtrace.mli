@@ -76,9 +76,11 @@ type reason =
           cache) or the pending queue overflowed. *)
   | Bad_length
       (** Header or length field lies about the bytes actually present:
-          truncated header, total/udp length beyond the frame, option
-          region past the buffer. *)
-  | Bad_option  (** Malformed TCP/IP option list (overflow or runt). *)
+          truncated header or ARP packet, IPv4 total or UDP length
+          outside the frame. *)
+  | Bad_option
+      (** Malformed TCP option list (overflow or runt), or an IPv4 IHL
+          whose option space runs past the bytes present. *)
   | Frag_unsupported
       (** IPv4 fragment (MF set or non-zero offset): the stack does no
           reassembly, so fragments are a typed reject, never a

@@ -20,13 +20,3 @@ let compute ?init b ~off ~len = finish (ones_complement_sum ?init b ~off ~len)
 
 let valid ?init b ~off ~len = compute ?init b ~off ~len = 0
 
-(* Slice variants: one bounds check against the borrow window, then the
-   summation loop runs on the backing bytes directly. *)
-let slice_sum ?init s ~off ~len =
-  Dsim.Slice.check s ~off ~len;
-  ones_complement_sum ?init (Dsim.Slice.base s)
-    ~off:(Dsim.Slice.base_off s + off) ~len
-
-let compute_slice ?init s ~off ~len = finish (slice_sum ?init s ~off ~len)
-
-let valid_slice ?init s ~off ~len = compute_slice ?init s ~off ~len = 0

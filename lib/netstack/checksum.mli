@@ -14,13 +14,3 @@ val valid : ?init:int -> bytes -> off:int -> len:int -> bool
 (** True when the region (with its embedded checksum field) sums to
     zero. *)
 
-(** {1 Slice variants}
-
-    Operate in place on a borrow window ({!Dsim.Slice.t}); [off] is
-    slice-relative. One bounds check per call (raising the slice's
-    fault, i.e. [Cheri.Fault] for mbuf borrows), then a copy-free sum
-    over the backing bytes. *)
-
-val slice_sum : ?init:int -> Dsim.Slice.t -> off:int -> len:int -> int
-val compute_slice : ?init:int -> Dsim.Slice.t -> off:int -> len:int -> int
-val valid_slice : ?init:int -> Dsim.Slice.t -> off:int -> len:int -> bool

@@ -21,9 +21,7 @@ let ethertype_of_int = function
 let build_into h buf ~off =
   Bytes.blit_string (Nic.Mac_addr.to_bytes h.dst) 0 buf off 6;
   Bytes.blit_string (Nic.Mac_addr.to_bytes h.src) 0 buf (off + 6) 6;
-  let et = ethertype_to_int h.ethertype in
-  Bytes.set buf (off + 12) (Char.chr (et lsr 8));
-  Bytes.set buf (off + 13) (Char.chr (et land 0xff))
+  Bytes.set_uint16_be buf (off + 12) (ethertype_to_int h.ethertype)
 
 let build h ~payload =
   let frame = Bytes.create (header_len + Bytes.length payload) in
@@ -32,14 +30,11 @@ let build h ~payload =
   frame
 
 let parse_at frame ~off ~len =
-  if len < header_len then Error "ethernet: frame too short"
+  if len < header_len then Error Dsim.Flowtrace.Parse_error
   else begin
     let dst = Nic.Mac_addr.of_bytes_exn (Bytes.sub_string frame off 6) in
     let src = Nic.Mac_addr.of_bytes_exn (Bytes.sub_string frame (off + 6) 6) in
-    let et =
-      (Char.code (Bytes.get frame (off + 12)) lsl 8)
-      lor Char.code (Bytes.get frame (off + 13))
-    in
+    let et = Bytes.get_uint16_be frame (off + 12) in
     Ok ({ dst; src; ethertype = ethertype_of_int et }, off + header_len)
   end
 

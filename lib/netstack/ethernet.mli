@@ -21,11 +21,13 @@ val build_into : header -> bytes -> off:int -> unit
 (** Write the 14-byte header at [off] — e.g. into mbuf headroom just
     prepended ahead of an IP packet already in place. *)
 
-val parse : bytes -> (header * int, string) result
+val parse : bytes -> (header * int, Dsim.Flowtrace.reason) result
 (** Returns the header and the payload offset. *)
 
-val parse_at : bytes -> off:int -> len:int -> (header * int, string) result
+val parse_at :
+  bytes -> off:int -> len:int -> (header * int, Dsim.Flowtrace.reason) result
 (** Parse a frame in place at [off]; the returned payload offset is
-    absolute (relative to [b]'s start, like [off]). *)
+    absolute (relative to [b]'s start, like [off]). A frame shorter than
+    the header is a [Parse_error]. *)
 
 val pp_header : Format.formatter -> header -> unit

@@ -23,38 +23,18 @@ let protocol_of_int = function
   | 17 -> Udp
   | v -> Unknown_proto v
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set_ip b off ip =
-  let v = Ipv4_addr.to_int32 ip in
-  for i = 0 to 3 do
-    Bytes.set b (off + i)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v ((3 - i) * 8)) land 0xff))
-  done
-
-let get_ip b off =
-  let v = ref 0l in
-  for i = 0 to 3 do
-    v := Int32.logor (Int32.shift_left !v 8) (Int32.of_int (Char.code (Bytes.get b (off + i))))
-  done;
-  Ipv4_addr.of_int32 !v
-
 let build_into h b ~off =
-  Bytes.set b off '\x45' (* version 4, ihl 5 *);
-  Bytes.set b (off + 1) '\000' (* dscp/ecn *);
-  set_u16 b (off + 2) h.total_len;
-  set_u16 b (off + 4) h.ident;
-  set_u16 b (off + 6) 0x4000 (* DF, fragment offset 0 *);
-  Bytes.set b (off + 8) (Char.chr (h.ttl land 0xff));
-  Bytes.set b (off + 9) (Char.chr (protocol_to_int h.protocol land 0xff));
-  set_u16 b (off + 10) 0 (* checksum placeholder *);
-  set_ip b (off + 12) h.src;
-  set_ip b (off + 16) h.dst;
-  set_u16 b (off + 10) (Checksum.compute b ~off ~len:header_len)
+  Bytes.set_uint8 b off 0x45 (* version 4, ihl 5 *);
+  Bytes.set_uint8 b (off + 1) 0 (* dscp/ecn *);
+  Bytes.set_uint16_be b (off + 2) h.total_len;
+  Bytes.set_uint16_be b (off + 4) h.ident;
+  Bytes.set_uint16_be b (off + 6) 0x4000 (* DF, fragment offset 0 *);
+  Bytes.set_uint8 b (off + 8) (h.ttl land 0xff);
+  Bytes.set_uint8 b (off + 9) (protocol_to_int h.protocol land 0xff);
+  Bytes.set_uint16_be b (off + 10) 0 (* checksum placeholder *);
+  Ipv4_addr.write b (off + 12) h.src;
+  Ipv4_addr.write b (off + 16) h.dst;
+  Bytes.set_uint16_be b (off + 10) (Checksum.compute b ~off ~len:header_len)
 
 let build h ~payload =
   let b = Bytes.create (header_len + Bytes.length payload) in
@@ -63,33 +43,33 @@ let build h ~payload =
   b
 
 let parse b ~off ~len =
-  if len < header_len then Error "ipv4: truncated header"
+  let open Dsim.Flowtrace in
+  if len < header_len then Error Bad_length
   else begin
-    let vihl = Char.code (Bytes.get b off) in
-    if vihl lsr 4 <> 4 then Error "ipv4: not version 4"
+    let vihl = Bytes.get_uint8 b off in
+    if vihl lsr 4 <> 4 then Error Parse_error
     else begin
       let ihl = (vihl land 0xf) * 4 in
-      if ihl < header_len then Error "ipv4: bad ihl"
-      else if len < ihl then Error "ipv4: truncated options"
-      else if not (Checksum.valid b ~off ~len:ihl) then Error "ipv4: bad checksum"
+      if ihl < header_len then Error Parse_error
+      else if len < ihl then Error Bad_option
+      else if not (Checksum.valid b ~off ~len:ihl) then Error Bad_checksum
       else begin
-        let total_len = get_u16 b (off + 2) in
+        let total_len = Bytes.get_uint16_be b (off + 2) in
         (* More Fragments set or a non-zero fragment offset: this stack
            does no reassembly, and treating a fragment as a whole
            datagram would hand the upper parser payload bytes that are
            not where its header claims. Typed reject instead. *)
-        let frag_field = get_u16 b (off + 6) in
-        if frag_field land 0x3fff <> 0 then Error "ipv4: fragment unsupported"
-        else if total_len < ihl || total_len > len then
-          Error "ipv4: bad total length"
+        let frag_field = Bytes.get_uint16_be b (off + 6) in
+        if frag_field land 0x3fff <> 0 then Error Frag_unsupported
+        else if total_len < ihl || total_len > len then Error Bad_length
         else
           Ok
             ( {
-                src = get_ip b (off + 12);
-                dst = get_ip b (off + 16);
-                protocol = protocol_of_int (Char.code (Bytes.get b (off + 9)));
-                ttl = Char.code (Bytes.get b (off + 8));
-                ident = get_u16 b (off + 4);
+                src = Ipv4_addr.read b (off + 12);
+                dst = Ipv4_addr.read b (off + 16);
+                protocol = protocol_of_int (Bytes.get_uint8 b (off + 9));
+                ttl = Bytes.get_uint8 b (off + 8);
+                ident = Bytes.get_uint16_be b (off + 4);
                 total_len;
               },
               off + ihl )

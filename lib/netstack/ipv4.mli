@@ -26,9 +26,14 @@ val build_into : header -> bytes -> off:int -> unit
 
 val build : header -> payload:bytes -> bytes
 
-val parse : bytes -> off:int -> len:int -> (header * int, string) result
+val parse :
+  bytes -> off:int -> len:int -> (header * int, Dsim.Flowtrace.reason) result
 (** Validates version, header length, checksum and total length against
-    [len] available bytes; returns the header and payload offset. *)
+    [len] available bytes; returns the header and payload offset. Fewer
+    than 20 bytes or a total length outside [ihl, len] is [Bad_length];
+    an IHL running past [len] is [Bad_option] (the excess is option
+    space); a wrong version or an IHL under 5 words is [Parse_error]; a
+    fragment is [Frag_unsupported]. *)
 
 val pseudo_header_sum : src:Ipv4_addr.t -> dst:Ipv4_addr.t -> protocol:protocol -> len:int -> int
 (** One's-complement sum of the TCP/UDP pseudo-header, for transport

@@ -2,6 +2,8 @@ type t = int32
 
 let of_int32 v = v
 let to_int32 t = t
+let read b off = Bytes.get_int32_be b off
+let write b off t = Bytes.set_int32_be b off t
 
 let make a b c d =
   let octet x =

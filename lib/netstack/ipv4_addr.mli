@@ -4,6 +4,13 @@ type t
 
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
+
+val read : bytes -> int -> t
+(** The address stored big-endian at the offset. *)
+
+val write : bytes -> int -> t -> unit
+(** Store big-endian at the offset. *)
+
 val make : int -> int -> int -> int -> t
 val of_string_exn : string -> t
 (** Parse dotted quad. @raise Invalid_argument on syntax. *)

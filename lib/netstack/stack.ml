@@ -244,24 +244,6 @@ let drop_arp_unresolved ?(flow = None) t =
   Dsim.Metrics.incr t.metrics.m_arp_failures;
   Dsim.Flowtrace.(drop default ~flow Ip_out Arp_unresolved)
 
-let contains msg sub =
-  let n = String.length msg in
-  let m = String.length sub in
-  let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-  go 0
-
-(* Map a parser's error message onto the typed drop taxonomy: checksum
-   failures, fragments, malformed options and length lies each get
-   their own reason so the drop ledger distinguishes a corrupted frame
-   from a crafted one; anything else stays a generic [Parse_error]. *)
-let reason_of_parse_error msg =
-  if contains msg "checksum" then Dsim.Flowtrace.Bad_checksum
-  else if contains msg "fragment" then Dsim.Flowtrace.Frag_unsupported
-  else if contains msg "option" then Dsim.Flowtrace.Bad_option
-  else if contains msg "truncated" || contains msg "length" then
-    Dsim.Flowtrace.Bad_length
-  else Dsim.Flowtrace.Parse_error
-
 let port_bound_incr t port =
   if port <> 0 then
     Hashtbl.replace t.bound_ports port
@@ -308,6 +290,44 @@ let release_fd t fd =
 (* Frame transmission                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The transmit path every frame shares, in two halves around the
+   caller's in-place write. [tx_alloc] takes an mbuf from the device
+   pool with [len] bytes appended at its data start; a miss is counted
+   and traced as [Mbuf_exhausted] at [Eth_tx]. It hands back
+   [Mbuf.alloc]'s own option, so the split allocates nothing. *)
+let tx_alloc t ~flow ~len =
+  let r = Dpdk.Mbuf.alloc (Dpdk.Eth_dev.rx_pool t.dev) in
+  (match r with
+  | None ->
+    t.counters.tx_no_mbuf <- t.counters.tx_no_mbuf + 1;
+    Dsim.Flowtrace.(drop default ~flow Eth_tx Mbuf_exhausted)
+  | Some m ->
+    Dpdk.Mbuf.set_flow m flow;
+    ignore (Dpdk.Mbuf.append m len));
+  r
+
+(* [tx_send] prepends the Ethernet header into the headroom of [m]
+   through its frame borrow [fs], then captures, bursts and counts the
+   frame. *)
+let tx_send t m fs ~dst_mac ~ethertype =
+  ignore (Dpdk.Mbuf.prepend m Ethernet.header_len);
+  let off = Dpdk.Mbuf.headroom m in
+  Dsim.Slice.check fs ~off ~len:Ethernet.header_len;
+  Ethernet.build_into { Ethernet.dst = dst_mac; src = t.mac; ethertype }
+    (Dsim.Slice.base fs) ~off:(Dsim.Slice.base_off fs + off);
+  let frame_len = Dpdk.Mbuf.data_len m in
+  record_tx_mbuf t m;
+  match Dpdk.Eth_dev.tx_burst t.dev [ m ] with
+  | [] ->
+    t.counters.tx_frames <- t.counters.tx_frames + 1;
+    Dsim.Metrics.incr t.metrics.m_tx_frames;
+    Dsim.Metrics.incr t.metrics.m_tx_bytes ~by:frame_len
+  | rejected ->
+    (* TX-ring-full attribution already happened at the doorbell
+       (Igb.tx_enqueue); freeing resets the mbuf's flow field. *)
+    List.iter Dpdk.Mbuf.free rejected;
+    t.counters.tx_no_mbuf <- t.counters.tx_no_mbuf + 1
+
 let send_frame t ?(flow = None) ~dst_mac ~ethertype payload =
   let flow =
     (* Frames originated below the IP layer (ARP) start their trace
@@ -325,37 +345,15 @@ let send_frame t ?(flow = None) ~dst_mac ~ethertype payload =
       Dsim.Flowtrace.origin Dsim.Flowtrace.default ~at:(now t) ~flow:label
         Eth_tx
   in
-  let pool = Dpdk.Eth_dev.rx_pool t.dev in
-  match Dpdk.Mbuf.alloc pool with
-  | None ->
-    t.counters.tx_no_mbuf <- t.counters.tx_no_mbuf + 1;
-    Dsim.Flowtrace.(drop default ~flow Eth_tx Mbuf_exhausted)
+  let len = Bytes.length payload in
+  match tx_alloc t ~flow ~len with
+  | None -> ()
   | Some m ->
-    Dpdk.Mbuf.set_flow m flow;
-    let plen = Bytes.length payload in
-    let frame_len = Ethernet.header_len + plen in
-    (* One Store check for the buffer, then the frame is laid out in
-       place — no staging copy. *)
     let fs = Dpdk.Mbuf.borrow_frame t.mem m in
-    let b = Dsim.Slice.base fs
-    and b0 = Dsim.Slice.base_off fs in
     let off = Dpdk.Mbuf.headroom m in
-    ignore (Dpdk.Mbuf.append m frame_len);
-    Dsim.Slice.check fs ~off ~len:frame_len;
-    Ethernet.build_into { Ethernet.dst = dst_mac; src = t.mac; ethertype } b
-      ~off:(b0 + off);
-    Bytes.blit payload 0 b (b0 + off + Ethernet.header_len) plen;
-    record_tx_mbuf t m;
-    (match Dpdk.Eth_dev.tx_burst t.dev [ m ] with
-    | [] ->
-      t.counters.tx_frames <- t.counters.tx_frames + 1;
-      Dsim.Metrics.incr t.metrics.m_tx_frames;
-      Dsim.Metrics.incr t.metrics.m_tx_bytes ~by:frame_len
-    | rejected ->
-      (* TX-ring-full attribution already happened at the doorbell
-         (Igb.tx_enqueue); freeing resets the mbuf's flow field. *)
-      List.iter Dpdk.Mbuf.free rejected;
-      t.counters.tx_no_mbuf <- t.counters.tx_no_mbuf + 1)
+    Dsim.Slice.check fs ~off ~len;
+    Bytes.blit payload 0 (Dsim.Slice.base fs) (Dsim.Slice.base_off fs + off) len;
+    tx_send t m fs ~dst_mac ~ethertype
 
 let send_arp t pkt =
   let dst_mac =
@@ -405,13 +403,9 @@ let ip_output_into t ?(flow = None) ~dst ~protocol ~payload_len write_payload =
   match Arp_cache.lookup t.arp ~now:(now t) hop with
   | Some dst_mac -> (
     Dsim.Flowtrace.hop flow Eth_tx ~at:(now t);
-    let pool = Dpdk.Eth_dev.rx_pool t.dev in
-    match Dpdk.Mbuf.alloc pool with
-    | None ->
-      t.counters.tx_no_mbuf <- t.counters.tx_no_mbuf + 1;
-      Dsim.Flowtrace.(drop default ~flow Eth_tx Mbuf_exhausted)
+    match tx_alloc t ~flow ~len:payload_len with
+    | None -> ()
     | Some m ->
-      Dpdk.Mbuf.set_flow m flow;
       (* One Store check covers the whole buffer; everything below is
          in-place construction through the borrow window. *)
       let fs = Dpdk.Mbuf.borrow_frame t.mem m in
@@ -419,7 +413,6 @@ let ip_output_into t ?(flow = None) ~dst ~protocol ~payload_len write_payload =
       and b0 = Dsim.Slice.base_off fs in
       (* Transport segment once, at the data start... *)
       let seg_off = Dpdk.Mbuf.headroom m in
-      ignore (Dpdk.Mbuf.append m payload_len);
       Dsim.Slice.check fs ~off:seg_off ~len:payload_len;
       write_payload b (b0 + seg_off);
       (* ...then each header prepended into the headroom. *)
@@ -427,22 +420,7 @@ let ip_output_into t ?(flow = None) ~dst ~protocol ~payload_len write_payload =
       let ip_off = Dpdk.Mbuf.headroom m in
       Dsim.Slice.check fs ~off:ip_off ~len:Ipv4.header_len;
       Ipv4.build_into header b ~off:(b0 + ip_off);
-      ignore (Dpdk.Mbuf.prepend m Ethernet.header_len);
-      let eth_off = Dpdk.Mbuf.headroom m in
-      Dsim.Slice.check fs ~off:eth_off ~len:Ethernet.header_len;
-      Ethernet.build_into
-        { Ethernet.dst = dst_mac; src = t.mac; ethertype = Ethernet.Ipv4 }
-        b ~off:(b0 + eth_off);
-      record_tx_mbuf t m;
-      (match Dpdk.Eth_dev.tx_burst t.dev [ m ] with
-      | [] ->
-        t.counters.tx_frames <- t.counters.tx_frames + 1;
-        Dsim.Metrics.incr t.metrics.m_tx_frames;
-        Dsim.Metrics.incr t.metrics.m_tx_bytes
-          ~by:(Ethernet.header_len + total_len)
-      | rejected ->
-        List.iter Dpdk.Mbuf.free rejected;
-        t.counters.tx_no_mbuf <- t.counters.tx_no_mbuf + 1))
+      tx_send t m fs ~dst_mac ~ethertype:Ethernet.Ipv4)
   | None ->
     if Arp_cache.is_negative t.arp ~now:(now t) hop then
       (* Resolution recently failed its whole retry budget: fail fast
@@ -637,9 +615,7 @@ let spawn_passive t listener ~(ip_hdr : Ipv4.header) (hdr : Tcp_wire.header) =
 
 let tcp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
   match Tcp_wire.parse ~src:ip_hdr.Ipv4.src ~dst:ip_hdr.Ipv4.dst buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Tcp_in reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Tcp_in reason
   | Ok (hdr, payload_off) -> (
     Dsim.Flowtrace.hop flow Tcp_in ~at:(now t);
     (* The payload stays a region of the borrowed frame; Tcp_input blits
@@ -681,9 +657,7 @@ let tcp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
 
 let icmp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
   match Icmp.parse buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
   | Ok msg -> (
     match msg with
     | Icmp.Echo_reply { ident; seq; _ } ->
@@ -696,9 +670,7 @@ let icmp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
 
 let udp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
   match Udp.parse ~src:ip_hdr.Ipv4.src ~dst:ip_hdr.Ipv4.dst buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Udp_in reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Udp_in reason
   | Ok (hdr, payload_off) -> (
     Dsim.Flowtrace.hop flow Udp_in ~at:(now t);
     match Hashtbl.find_opt t.udp_binds hdr.Udp.dst_port with
@@ -718,14 +690,8 @@ let udp_input t ?(flow = None) ~(ip_hdr : Ipv4.header) buf ~off ~len =
 (* ------------------------------------------------------------------ *)
 
 let arp_input t ?(flow = None) buf ~off ~len =
-  (* [Arp.parse] bounds-checks against the backing buffer; on the live RX
-     path that is the whole borrowed frame buffer, so enforce the actual
-     frame length here. *)
-  if len < Arp.packet_len then
-    drop_rx ~flow t Dsim.Flowtrace.Eth_rx Dsim.Flowtrace.Bad_length
-  else
-  match Arp.parse buf ~off with
-  | Error _ -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx Dsim.Flowtrace.Parse_error
+  match Arp.parse buf ~off ~len with
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx reason
   | Ok pkt ->
     if Ipv4_addr.equal pkt.Arp.target_ip t.config.ip then begin
       Arp_cache.insert t.arp ~now:(now t) pkt.Arp.sender_ip pkt.Arp.sender_mac;
@@ -740,9 +706,7 @@ let arp_input t ?(flow = None) buf ~off ~len =
 
 let ipv4_input t ?(flow = None) buf ~off ~len =
   match Ipv4.parse buf ~off ~len with
-  | Error msg ->
-    let reason = reason_of_parse_error msg in
-    drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Ip_rx reason
   | Ok (ip_hdr, payload_off) ->
     if
       Ipv4_addr.equal ip_hdr.Ipv4.dst t.config.ip
@@ -774,7 +738,7 @@ let handle_frame t ?(flow = None) (s : Dsim.Slice.t) =
   Dsim.Slice.check s ~off:0 ~len;
   let buf = Dsim.Slice.base s and off = Dsim.Slice.base_off s in
   match Ethernet.parse_at buf ~off ~len with
-  | Error _ -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx Dsim.Flowtrace.Parse_error
+  | Error reason -> drop_rx ~flow t Dsim.Flowtrace.Eth_rx reason
   | Ok (eth, payload_off) -> (
     Dsim.Flowtrace.hop flow Eth_rx ~at:(now t);
     let payload_len = off + len - payload_off in

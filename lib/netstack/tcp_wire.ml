@@ -40,23 +40,10 @@ let options_len options =
 
 let header_len h = base_header_len + options_len h.options
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set_u32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
-
-let get_u32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+(* Sequence numbers and timestamps are unsigned 32-bit values held in an
+   [int]; the stdlib's 32-bit accessors are signed. *)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffff_ffff
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
 let flags_to_int f =
   (if f.fin then 0x01 else 0)
@@ -78,21 +65,21 @@ let flags_of_int v =
 
 let write_option b off = function
   | Mss v ->
-    Bytes.set b off '\002';
-    Bytes.set b (off + 1) '\004';
-    set_u16 b (off + 2) v;
+    Bytes.set_uint8 b off 2;
+    Bytes.set_uint8 b (off + 1) 4;
+    Bytes.set_uint16_be b (off + 2) v;
     off + 4
   | Wscale v ->
-    Bytes.set b off '\001' (* NOP for alignment *);
-    Bytes.set b (off + 1) '\003';
-    Bytes.set b (off + 2) '\003';
-    Bytes.set b (off + 3) (Char.chr (v land 0xff));
+    Bytes.set_uint8 b off 1 (* NOP for alignment *);
+    Bytes.set_uint8 b (off + 1) 3;
+    Bytes.set_uint8 b (off + 2) 3;
+    Bytes.set_uint8 b (off + 3) (v land 0xff);
     off + 4
   | Timestamps { tsval; tsecr } ->
-    Bytes.set b off '\001';
-    Bytes.set b (off + 1) '\001';
-    Bytes.set b (off + 2) '\008';
-    Bytes.set b (off + 3) '\010';
+    Bytes.set_uint8 b off 1;
+    Bytes.set_uint8 b (off + 1) 1;
+    Bytes.set_uint8 b (off + 2) 8;
+    Bytes.set_uint8 b (off + 3) 10;
     set_u32 b (off + 4) tsval;
     set_u32 b (off + 8) tsecr;
     off + 12
@@ -105,22 +92,22 @@ let write_option b off = function
 let write_header ~src ~dst h b ~off ~payload_len =
   let hl = header_len h in
   let len = hl + payload_len in
-  set_u16 b off h.src_port;
-  set_u16 b (off + 2) h.dst_port;
+  Bytes.set_uint16_be b off h.src_port;
+  Bytes.set_uint16_be b (off + 2) h.dst_port;
   set_u32 b (off + 4) h.seq;
   set_u32 b (off + 8) h.ack;
-  Bytes.set b (off + 12) (Char.chr ((hl / 4) lsl 4));
-  Bytes.set b (off + 13) (Char.chr (flags_to_int h.flags));
-  set_u16 b (off + 14) (min h.window 0xffff);
-  set_u16 b (off + 16) 0 (* checksum *);
-  set_u16 b (off + 18) 0 (* urgent pointer *);
+  Bytes.set_uint8 b (off + 12) ((hl / 4) lsl 4);
+  Bytes.set_uint8 b (off + 13) (flags_to_int h.flags);
+  Bytes.set_uint16_be b (off + 14) (min h.window 0xffff);
+  Bytes.set_uint16_be b (off + 16) 0 (* checksum *);
+  Bytes.set_uint16_be b (off + 18) 0 (* urgent pointer *);
   let o =
     List.fold_left (fun o opt -> write_option b o opt) (off + base_header_len)
       h.options
   in
   assert (o = off + hl);
   let init = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.Tcp ~len in
-  set_u16 b (off + 16) (Checksum.compute ~init b ~off ~len);
+  Bytes.set_uint16_be b (off + 16) (Checksum.compute ~init b ~off ~len);
   hl
 
 let build ~src ~dst h ~payload =
@@ -139,53 +126,51 @@ let parse_options b ~off ~limit =
   let rec go off acc =
     if off >= limit then Ok (List.rev acc)
     else begin
-      match Char.code (Bytes.get b off) with
+      match Bytes.get_uint8 b off with
       | 0 (* EOL *) -> Ok (List.rev acc)
       | 1 (* NOP *) -> go (off + 1) acc
       | kind ->
-        if off + 1 >= limit then Error "tcp: bad option (truncated)"
+        let olen = if off + 1 >= limit then 0 else Bytes.get_uint8 b (off + 1) in
+        if olen < 2 || off + olen > limit then Error Dsim.Flowtrace.Bad_option
         else begin
-          let olen = Char.code (Bytes.get b (off + 1)) in
-          if olen < 2 || off + olen > limit then
-            Error "tcp: bad option (length)"
-          else begin
-            let opt =
-              match kind with
-              | 2 when olen = 4 -> Mss (get_u16 b (off + 2))
-              | 3 when olen = 3 -> Wscale (Char.code (Bytes.get b (off + 2)))
-              | 8 when olen = 10 ->
-                Timestamps { tsval = get_u32 b (off + 2); tsecr = get_u32 b (off + 6) }
-              | k -> Unknown_option k
-            in
-            go (off + olen) (opt :: acc)
-          end
+          let opt =
+            match kind with
+            | 2 when olen = 4 -> Mss (Bytes.get_uint16_be b (off + 2))
+            | 3 when olen = 3 -> Wscale (Bytes.get_uint8 b (off + 2))
+            | 8 when olen = 10 ->
+              Timestamps { tsval = get_u32 b (off + 2); tsecr = get_u32 b (off + 6) }
+            | k -> Unknown_option k
+          in
+          go (off + olen) (opt :: acc)
         end
     end
   in
   go off []
 
 let parse ~src ~dst b ~off ~len =
-  if len < base_header_len then Error "tcp: truncated header"
+  if len < base_header_len then Error Dsim.Flowtrace.Bad_length
   else begin
     let init = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.Tcp ~len in
-    if Checksum.compute ~init b ~off ~len <> 0 then Error "tcp: bad checksum"
+    if Checksum.compute ~init b ~off ~len <> 0 then
+      Error Dsim.Flowtrace.Bad_checksum
     else begin
-      let data_off = (Char.code (Bytes.get b (off + 12)) lsr 4) * 4 in
-      if data_off < base_header_len || data_off > len then Error "tcp: bad data offset"
+      let data_off = (Bytes.get_uint8 b (off + 12) lsr 4) * 4 in
+      if data_off < base_header_len || data_off > len then
+        Error Dsim.Flowtrace.Parse_error
       else begin
         match
           parse_options b ~off:(off + base_header_len) ~limit:(off + data_off)
         with
-        | Error msg -> Error msg
+        | Error _ as e -> e
         | Ok options ->
           Ok
             ( {
-                src_port = get_u16 b off;
-                dst_port = get_u16 b (off + 2);
+                src_port = Bytes.get_uint16_be b off;
+                dst_port = Bytes.get_uint16_be b (off + 2);
                 seq = Tcp_seq.of_int (get_u32 b (off + 4));
                 ack = Tcp_seq.of_int (get_u32 b (off + 8));
-                flags = flags_of_int (Char.code (Bytes.get b (off + 13)));
-                window = get_u16 b (off + 14);
+                flags = flags_of_int (Bytes.get_uint8 b (off + 13));
+                window = Bytes.get_uint16_be b (off + 14);
                 options;
               },
               off + data_off )

@@ -52,8 +52,12 @@ val write_header :
 
 val parse :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> bytes -> off:int -> len:int ->
-  (header * int, string) result
-(** Validates the checksum; returns the header and payload offset. *)
+  (header * int, Dsim.Flowtrace.reason) result
+(** Validates the checksum; returns the header and payload offset. Under
+    20 bytes is [Bad_length], a checksum mismatch [Bad_checksum], a data
+    offset under 20 or past [len] [Parse_error], and a malformed option
+    list (truncated kind, length under 2 or past the header)
+    [Bad_option]. *)
 
 val find_mss : header -> int option
 val find_timestamps : header -> (int * int) option

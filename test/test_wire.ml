@@ -4,6 +4,17 @@
 let ip = Netstack.Ipv4_addr.of_string_exn
 let mac = Nic.Mac_addr.of_string_exn
 
+(* Every parser error site pins its typed drop reason: the drop ledger
+   attributes frames by exactly this value. *)
+let check_reason name expected = function
+  | Ok _ ->
+    Alcotest.failf "%s: parsed, expected %s" name
+      (Dsim.Flowtrace.reason_name expected)
+  | Error r ->
+    Alcotest.(check string) name
+      (Dsim.Flowtrace.reason_name expected)
+      (Dsim.Flowtrace.reason_name r)
+
 (* ------------------------------------------------------------------ *)
 (* Checksum                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -73,9 +84,9 @@ let ethernet_roundtrip () =
     Alcotest.(check bool) "src" true (Nic.Mac_addr.equal h.Netstack.Ethernet.src h'.Netstack.Ethernet.src);
     Alcotest.(check bool) "ethertype" true (h'.Netstack.Ethernet.ethertype = Netstack.Ethernet.Ipv4);
     Alcotest.(check int) "payload offset" 14 off
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "short frame rejected" true
-    (Result.is_error (Netstack.Ethernet.parse (Bytes.create 10)))
+  | Error e -> Alcotest.fail (Dsim.Flowtrace.reason_name e));
+  check_reason "short frame rejected" Dsim.Flowtrace.Parse_error
+    (Netstack.Ethernet.parse (Bytes.create 10))
 
 let ethernet_ethertypes () =
   Alcotest.(check int) "ipv4" 0x0800 (Netstack.Ethernet.ethertype_to_int Netstack.Ethernet.Ipv4);
@@ -94,14 +105,14 @@ let arp_roundtrip () =
   in
   let b = Netstack.Arp.build req in
   Alcotest.(check int) "packet length" Netstack.Arp.packet_len (Bytes.length b);
-  (match Netstack.Arp.parse b ~off:0 with
+  (match Netstack.Arp.parse b ~off:0 ~len:(Bytes.length b) with
   | Ok p ->
     Alcotest.(check bool) "op" true (p.Netstack.Arp.op = Netstack.Arp.Request);
     Alcotest.(check bool) "sender ip" true
       (Netstack.Ipv4_addr.equal p.Netstack.Arp.sender_ip (ip "10.0.0.1"));
     Alcotest.(check bool) "target ip" true
       (Netstack.Ipv4_addr.equal p.Netstack.Arp.target_ip (ip "10.0.0.2"))
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Dsim.Flowtrace.reason_name e));
   let rep = Netstack.Arp.reply_to req ~mac:(mac "02:00:00:00:00:02") in
   Alcotest.(check bool) "reply op" true (rep.Netstack.Arp.op = Netstack.Arp.Reply);
   Alcotest.(check bool) "reply targets requester" true
@@ -110,14 +121,22 @@ let arp_roundtrip () =
     (Netstack.Ipv4_addr.equal rep.Netstack.Arp.sender_ip (ip "10.0.0.2"))
 
 let arp_parse_errors () =
-  Alcotest.(check bool) "truncated" true
-    (Result.is_error (Netstack.Arp.parse (Bytes.create 10) ~off:0));
+  check_reason "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Arp.parse (Bytes.create 10) ~off:0 ~len:10);
   let b = Netstack.Arp.build
       (Netstack.Arp.request ~sender_mac:Nic.Mac_addr.zero
          ~sender_ip:(ip "1.1.1.1") ~target_ip:(ip "2.2.2.2"))
   in
+  (* A whole packet in the buffer but a shorter frame: [len] decides. *)
+  check_reason "frame shorter than buffer" Dsim.Flowtrace.Bad_length
+    (Netstack.Arp.parse b ~off:0 ~len:(Netstack.Arp.packet_len - 1));
+  let not_ipv4 = Bytes.copy b in
+  Bytes.set not_ipv4 2 '\x86' (* ptype 0x86dd *);
+  check_reason "not ethernet/ipv4" Dsim.Flowtrace.Parse_error
+    (Netstack.Arp.parse not_ipv4 ~off:0 ~len:(Bytes.length b));
   Bytes.set b 7 '\x09' (* bogus op *);
-  Alcotest.(check bool) "bad op" true (Result.is_error (Netstack.Arp.parse b ~off:0))
+  check_reason "bad op" Dsim.Flowtrace.Parse_error
+    (Netstack.Arp.parse b ~off:0 ~len:(Bytes.length b))
 
 let arp_cache_behaviour () =
   let c = Netstack.Arp_cache.create ~entry_lifetime:(Dsim.Time.ms 10) () in
@@ -180,7 +199,7 @@ let ipv4_roundtrip () =
     Alcotest.(check int) "total" (20 + 19) h'.Netstack.Ipv4.total_len;
     Alcotest.(check string) "payload intact" "some-transport-data"
       (Bytes.sub_string pkt off 19)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Dsim.Flowtrace.reason_name e)
 
 let ipv4_parse_errors () =
   let payload = Bytes.of_string "x" in
@@ -189,16 +208,36 @@ let ipv4_parse_errors () =
       protocol = Netstack.Ipv4.Udp; ttl = 1; ident = 0; total_len = 21 }
   in
   let pkt = Netstack.Ipv4.build h ~payload in
+  let parse b = Netstack.Ipv4.parse b ~off:0 ~len:21 in
+  (* Rewrite one header field and re-checksum, so only the field lies. *)
+  let with_field off v =
+    let b = Bytes.copy pkt in
+    Bytes.set_uint16_be b off v;
+    Bytes.set_uint16_be b 10 0;
+    Bytes.set_uint16_be b 10 (Netstack.Checksum.compute b ~off:0 ~len:20);
+    b
+  in
   let corrupt = Bytes.copy pkt in
   Bytes.set corrupt 8 '\x63';
-  Alcotest.(check bool) "checksum detects ttl change" true
-    (Result.is_error (Netstack.Ipv4.parse corrupt ~off:0 ~len:21));
+  check_reason "checksum detects ttl change" Dsim.Flowtrace.Bad_checksum
+    (parse corrupt);
   let bad_version = Bytes.copy pkt in
   Bytes.set bad_version 0 '\x65';
-  Alcotest.(check bool) "wrong version" true
-    (Result.is_error (Netstack.Ipv4.parse bad_version ~off:0 ~len:21));
-  Alcotest.(check bool) "truncated" true
-    (Result.is_error (Netstack.Ipv4.parse pkt ~off:0 ~len:10))
+  check_reason "wrong version" Dsim.Flowtrace.Parse_error (parse bad_version);
+  check_reason "ihl under 5 words" Dsim.Flowtrace.Parse_error
+    (parse (with_field 0 0x4400));
+  (* The IHL claims 24 header bytes of the 21 present: the excess is
+     option space, so this is an option fault, not a length one. *)
+  check_reason "ihl past the bytes present" Dsim.Flowtrace.Bad_option
+    (parse (with_field 0 0x4600));
+  check_reason "fragment" Dsim.Flowtrace.Frag_unsupported
+    (parse (with_field 6 0x2000));
+  check_reason "total length past the bytes present" Dsim.Flowtrace.Bad_length
+    (parse (with_field 2 22));
+  check_reason "total length under the header" Dsim.Flowtrace.Bad_length
+    (parse (with_field 2 19));
+  check_reason "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Ipv4.parse pkt ~off:0 ~len:10)
 
 (* ------------------------------------------------------------------ *)
 (* ICMP                                                                 *)
@@ -213,7 +252,7 @@ let icmp_roundtrip () =
     Alcotest.(check int) "seq" 3 seq;
     Alcotest.(check string) "data" "ping" (Bytes.to_string data)
   | Ok _ -> Alcotest.fail "wrong message type"
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Dsim.Flowtrace.reason_name e));
   (match Netstack.Icmp.reply_to msg with
   | Some (Netstack.Icmp.Echo_reply { ident = 7; seq = 3; _ }) -> ()
   | _ -> Alcotest.fail "expected an echo reply");
@@ -222,9 +261,11 @@ let icmp_roundtrip () =
 
 let icmp_checksum () =
   let b = Netstack.Icmp.build (Netstack.Icmp.Echo_request { ident = 1; seq = 1; data = Bytes.empty }) in
+  check_reason "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Icmp.parse b ~off:0 ~len:7);
   Bytes.set b 4 '\xFF';
-  Alcotest.(check bool) "corruption detected" true
-    (Result.is_error (Netstack.Icmp.parse b ~off:0 ~len:(Bytes.length b)))
+  check_reason "corruption detected" Dsim.Flowtrace.Bad_checksum
+    (Netstack.Icmp.parse b ~off:0 ~len:(Bytes.length b))
 
 (* ------------------------------------------------------------------ *)
 (* UDP                                                                  *)
@@ -239,15 +280,24 @@ let udp_roundtrip () =
     Alcotest.(check int) "dst port" 53 h.Netstack.Udp.dst_port;
     Alcotest.(check int) "length" 13 h.Netstack.Udp.length;
     Alcotest.(check string) "payload" "query" (Bytes.sub_string d off 5)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Dsim.Flowtrace.reason_name e)
 
 let udp_checksum_pseudo_header () =
   let src = ip "10.0.0.1" and dst = ip "10.0.0.2" in
   let d = Netstack.Udp.build ~src ~dst ~src_port:1 ~dst_port:2 ~payload:(Bytes.of_string "x") in
   (* Same datagram checked against different addresses must fail: the
      pseudo-header is part of the checksum. *)
-  Alcotest.(check bool) "wrong pseudo header" true
-    (Result.is_error (Netstack.Udp.parse ~src:(ip "10.0.0.9") ~dst d ~off:0 ~len:(Bytes.length d)))
+  check_reason "wrong pseudo header" Dsim.Flowtrace.Bad_checksum
+    (Netstack.Udp.parse ~src:(ip "10.0.0.9") ~dst d ~off:0 ~len:(Bytes.length d));
+  check_reason "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Udp.parse ~src ~dst d ~off:0 ~len:7);
+  let lying = Bytes.copy d in
+  Bytes.set_uint16_be lying 4 200;
+  check_reason "length past the bytes present" Dsim.Flowtrace.Bad_length
+    (Netstack.Udp.parse ~src ~dst lying ~off:0 ~len:(Bytes.length d));
+  Bytes.set_uint16_be lying 4 7;
+  check_reason "length under the header" Dsim.Flowtrace.Bad_length
+    (Netstack.Udp.parse ~src ~dst lying ~off:0 ~len:(Bytes.length d))
 
 (* ------------------------------------------------------------------ *)
 (* TCP sequence arithmetic                                              *)
@@ -311,14 +361,48 @@ let tcp_wire_roundtrip () =
     Alcotest.(check (option (pair int int))) "timestamps" (Some (111, 222))
       (Netstack.Tcp_wire.find_timestamps h');
     Alcotest.(check string) "payload" "DATA" (Bytes.sub_string seg off 4)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Dsim.Flowtrace.reason_name e)
 
 let tcp_wire_checksum () =
   let src = ip "10.0.0.1" and dst = ip "10.0.0.2" in
   let seg = Netstack.Tcp_wire.build ~src ~dst (tcp_header 40000) ~payload:(Bytes.of_string "DATA") in
+  let parse b = Netstack.Tcp_wire.parse ~src ~dst b ~off:0 ~len:(Bytes.length b) in
+  (* A 24-byte bare header whose last [opts] bytes are the option
+     region and whose checksum is valid, so only the lie under test is
+     left for the parser to find. *)
+  let crafted ~data_off opts =
+    let b =
+      Netstack.Tcp_wire.build ~src ~dst
+        { (tcp_header 40000) with Netstack.Tcp_wire.options = [] }
+        ~payload:(Bytes.of_string opts)
+    in
+    Bytes.set_uint8 b 12 (data_off lsl 4);
+    Bytes.set_uint16_be b 16 0;
+    let init =
+      Netstack.Ipv4.pseudo_header_sum ~src ~dst ~protocol:Netstack.Ipv4.Tcp
+        ~len:(Bytes.length b)
+    in
+    Bytes.set_uint16_be b 16
+      (Netstack.Checksum.compute ~init b ~off:0 ~len:(Bytes.length b));
+    b
+  in
+  check_reason "truncated" Dsim.Flowtrace.Bad_length
+    (Netstack.Tcp_wire.parse ~src ~dst seg ~off:0 ~len:19);
+  (* Out-of-range data offsets are a generic parse error, not a length
+     one: the offset field is malformed, not the bytes it counts. *)
+  check_reason "data offset under 5 words" Dsim.Flowtrace.Parse_error
+    (parse (crafted ~data_off:4 "\001\001\001\001"));
+  check_reason "data offset past the segment" Dsim.Flowtrace.Parse_error
+    (parse (crafted ~data_off:7 "\001\001\001\001"));
+  check_reason "option kind with no length byte" Dsim.Flowtrace.Bad_option
+    (parse (crafted ~data_off:6 "\001\001\001\002"));
+  check_reason "option length under 2" Dsim.Flowtrace.Bad_option
+    (parse (crafted ~data_off:6 "\002\001\000\000"));
+  check_reason "option length past the header" Dsim.Flowtrace.Bad_option
+    (parse (crafted ~data_off:6 "\002\044\000\000"));
   Bytes.set seg (Bytes.length seg - 1) 'X';
-  Alcotest.(check bool) "payload corruption detected" true
-    (Result.is_error (Netstack.Tcp_wire.parse ~src ~dst seg ~off:0 ~len:(Bytes.length seg)))
+  check_reason "payload corruption detected" Dsim.Flowtrace.Bad_checksum
+    (parse seg)
 
 let tcp_wire_mss_1448 () =
   (* 20 IP + 20 TCP + 12 timestamp option + 1448 payload = 1500 MTU. *)
@@ -336,7 +420,7 @@ let tcp_wire_no_options () =
   | Ok (h', off) ->
     Alcotest.(check int) "no options" 0 (List.length h'.Netstack.Tcp_wire.options);
     Alcotest.(check int) "payload offset" 20 off
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Dsim.Flowtrace.reason_name e)
 
 let tcp_wire_roundtrip_prop =
   QCheck.Test.make ~name:"tcp_wire: build/parse roundtrips seq numbers" ~count:100
